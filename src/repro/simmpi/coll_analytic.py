@@ -19,11 +19,12 @@ written once, as a per-rank *generator program* (see
 every request it waits on; the driver performs the wait bookkeeping.
 The same program source runs in both modes:
 
-* **message path** (``REPRO_COLL_ANALYTIC=0``): each rank's own thread
-  drives its program through the rank's real
+* **message path** (``REPRO_COLL_ANALYTIC=0``): each rank runs its own
+  program inside its own ``g_*`` call, posting through its real
   :class:`~repro.simmpi.comm.Communicator` and
-  :class:`~repro.simmpi.p2p.MessageFabric`, parking on every pending
-  request — the classic engine behaviour;
+  :class:`~repro.simmpi.p2p.MessageFabric` and yielding every pending
+  request to the rank's driver (the thread-free event loop, or
+  :func:`~repro.simmpi.sched.drive_blocking` for a blocking call);
 * **analytic path** (default): the last-arriving rank drives *all* p
   programs with :class:`_Replay`, a miniature copy of the engine
   scheduler that picks the runnable virtual rank with the smallest
@@ -92,7 +93,7 @@ from repro.simmpi.datatypes import (
     payload_nbytes,
 )
 from repro.simmpi.request import Request
-from repro.simmpi.sched import YIELD, Park, ReadyHeap, drive_blocking
+from repro.simmpi.sched import YIELD, Park, ReadyHeap
 
 #: Environment switch for the analytic fast path.  On by default;
 #: ``0``/``false``/``no``/``off`` reverts every collective to the
@@ -110,9 +111,8 @@ def analytic_enabled(value: Optional[str] = None) -> bool:
     """Whether the analytic fast path is on.
 
     Reads ``REPRO_COLL_ANALYTIC`` when ``value`` is None; unset or empty
-    means **enabled**.  Matching is case-insensitive.  A value made of
-    per-collective opt-outs (``-reduce,-gather``) leaves the path on
-    overall — see :func:`analytic_off_kinds`.
+    means **enabled**, and so does anything but the case-insensitive
+    off words ``0``/``false``/``no``/``off``.
     """
     if value is None:
         value = os.environ.get(ANALYTIC_ENV)
@@ -121,78 +121,16 @@ def analytic_enabled(value: Optional[str] = None) -> bool:
     return value.strip().lower() not in _FALSY
 
 
-def analytic_off_kinds(value: Optional[str] = None) -> frozenset:
-    """Collective kinds opted out of the analytic path per-collective.
-
-    ``REPRO_COLL_ANALYTIC`` accepts, besides the on/off words, a
-    comma-separated list of ``-<kind>`` entries (``-reduce``,
-    ``-reduce,-gather``) that keep the fast path on overall but route
-    the named collectives through the message path — the per-collective
-    gate for a fast path that would lose on a given pattern.  Kinds are
-    matched case-insensitively, so ``-reduce`` covers both the buffer
-    (``Reduce``) and object (``reduce``) spellings.
-    """
-    if value is None:
-        value = os.environ.get(ANALYTIC_ENV)
-    if value is None:
-        return frozenset()
-    out = set()
-    for part in value.split(","):
-        part = part.strip().lower()
-        if part.startswith("-") and len(part) > 1:
-            out.add(part[1:])
-    return frozenset(out)
-
-
-def drive_threaded(ctx, gen: Generator[Request, None, Any]) -> Any:
-    """Run a collective program on the calling rank's own thread.
-
-    Programs yield every request they wait on; the driver performs the
-    wait itself — parking the rank iff the request is still pending
-    (exactly where :meth:`Request.wait` would have), then applying
-    ``wait()``'s bookkeeping: the waited mark, the clock advance to the
-    completion stamp, and sending the payload back into the program.
-    Keeping the wait bookkeeping in the driver rather than a helper
-    generator saves one generator allocation + resume per wait, which
-    the replay's per-message budget cares about.
-    """
-    val = None
-    try:
-        while True:
-            req = gen.send(val)
-            if not req.done:
-                ctx._block_on_request(req)
-            req._waited = True
-            ctx._advance_to(req.completion_time)
-            val = req.data
-    except StopIteration as stop:
-        return stop.value
-
-
-def dispatch(comm, kind: str, ckey: tuple, factory: ProgramFactory,
-             args: tuple = ()) -> Any:
-    """Entry point used by every blocking (sync) collective wrapper.
-
-    Routes through the engine's :class:`CollectiveGate` when the
-    preconditions hold, otherwise drives the program inline on the
-    calling thread (the plain message path).
-    """
-    engine = comm.ctx.engine
-    gate = engine.coll_gate
-    if gate.eligible(comm):
-        return gate.run(comm, kind, ckey, factory, args)
-    return drive_threaded(comm.ctx, factory(comm, ckey, *args))
-
-
 def g_dispatch(comm, kind: str, ckey: tuple, factory: ProgramFactory,
                args: tuple = ()) -> Generator:
-    """Entry point used by every generator (``g_*``) collective wrapper.
+    """Entry point of every collective (the ``g_*`` functions).
 
-    The generator twin of :func:`dispatch`: instead of parking the
-    calling thread it yields the gate's scheduling commands (and the
-    program's pending requests) to whichever driver is resuming it —
-    the thread-free engine loop, or :func:`drive_blocking` when the
-    generator main runs under the threaded oracle.
+    Routes through the engine's :class:`CollectiveGate` when the
+    preconditions hold, otherwise runs the program as the caller's own
+    (the plain message path).  Either way it yields the gate's
+    scheduling commands and the program's pending requests to whichever
+    driver is resuming the caller — the thread-free engine loop, or
+    :func:`~repro.simmpi.sched.drive_blocking` for a blocking call.
     """
     engine = comm.ctx.engine
     gate = engine.coll_gate
@@ -247,20 +185,10 @@ class CollectiveGate:
 
         Fault runs still cross the gate (so their engine interleaving —
         and hence their clocks — stays comparable to fault-free runs),
-        but :meth:`run` keeps them on the threaded message path.
+        but :meth:`g_run` keeps them on the message path.
         """
         engine = self.engine
         return comm.size == engine.n_ranks and comm.size > 1
-
-    def run(self, comm, kind: str, ckey: tuple, factory: ProgramFactory,
-            args: tuple) -> Any:
-        """Carry one rank through the gated collective ``ckey``, blocking.
-
-        The sync entry point (rank threads): the gate logic lives once,
-        in :meth:`g_run`; this drives it with the calling rank's own
-        thread, mapping each scheduling command onto a park/yield.
-        """
-        return drive_blocking(comm.ctx, self.g_run(comm, kind, ckey, factory, args))
 
     def g_run(self, comm, kind: str, ckey: tuple, factory: ProgramFactory,
               args: tuple) -> Generator:
@@ -298,7 +226,7 @@ class CollectiveGate:
         # active FaultPlan forces the message path — hang/crash delivery
         # points inside the pattern must fire on the owning rank's own
         # scheduling slot, which a batched replay cannot honour.
-        if self.engine.analytic_for(kind) and self.engine._faults is None:
+        if self.engine.coll_analytic and self.engine._faults is None:
             entry.mode = "fast"
             _Replay(entry).run()
             self.fast += 1

@@ -26,14 +26,18 @@ Within one invocation the message tag encodes the algorithm round.
 
 Each pattern is written **once**, as a per-rank *generator program*
 (``_prog_*``) that posts through the communicator into the real fabric
-and yields wherever a blocking wait would sit.  The thin public
-wrappers hand the program to :func:`repro.simmpi.coll_analytic.dispatch`,
-which either drives it on the calling rank's own thread (the classic
-message path) or lets the engine's collective gate resolve the whole
-invocation thread-free (the analytic fast path, ``REPRO_COLL_ANALYTIC``).
-Both drivers execute identical fabric operations in identical order, so
-simulated results are bit-identical either way.  The linear ablation
-variants at the bottom stay permanently on the plain threaded path.
+and yields wherever a blocking wait would sit.  Each collective is in
+turn written once, as a ``g_*`` function: fault poll, argument checks
+and sub-context allocation, then
+:func:`repro.simmpi.coll_analytic.g_dispatch`, which either runs the
+program as the calling rank's own (the message path) or lets the
+engine's collective gate resolve the whole invocation in one batch (the
+analytic fast path, ``REPRO_COLL_ANALYTIC``).  Both execute identical
+fabric operations in identical order, so simulated results are
+bit-identical either way.  The ``Communicator`` methods of the same
+names call these; their blocking spellings are the same generators run
+by :func:`repro.simmpi.sched.drive_blocking`.  The linear ablation
+variants stay blocking and permanently ungated.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from typing import Any, Generator, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import CommMismatchError
-from repro.simmpi.coll_analytic import dispatch as _dispatch
 from repro.simmpi.coll_analytic import g_dispatch as _g_dispatch
 from repro.simmpi.reduce_ops import ReduceOp
 from repro.simmpi.request import Request, waitall
@@ -82,16 +85,6 @@ def _prog_barrier(comm, ckey: tuple) -> _Prog:
         rnd += 1
 
 
-def barrier(comm) -> None:
-    """Dissemination barrier: after it, every rank's clock is >= the
-    latest arrival, plus the log-depth message cost."""
-    _poll_faults(comm)
-    if comm.size == 1:
-        return
-    ckey = comm._next_coll_key()
-    return _dispatch(comm, "barrier", ckey, _prog_barrier)
-
-
 # ---------------------------------------------------------------------------
 # broadcast
 # ---------------------------------------------------------------------------
@@ -122,15 +115,6 @@ def _prog_bcast(comm, ckey: tuple, obj: Any, root: int) -> _Prog:
     return data
 
 
-def bcast(comm, obj: Any, root: int = 0) -> Any:
-    """Binomial-tree broadcast of a Python object."""
-    _poll_faults(comm)
-    if comm.size == 1:
-        return obj
-    ckey = comm._next_coll_key()
-    return _dispatch(comm, "bcast", ckey, _prog_bcast, (obj, root))
-
-
 def _prog_Bcast(comm, ckey: tuple, buf: np.ndarray, root: int) -> _Prog:
     """Program: binomial-tree broadcast landing in ``buf`` in place."""
     p = comm.size
@@ -153,16 +137,6 @@ def _prog_Bcast(comm, ckey: tuple, buf: np.ndarray, root: int) -> _Prog:
         mask >>= 1
     for req in reqs:
         yield req
-
-
-def Bcast(comm, buf: np.ndarray, root: int = 0) -> None:
-    """Binomial-tree broadcast filling ``buf`` in place on non-roots."""
-    _poll_faults(comm)
-    if comm.size == 1:
-        return
-    buf = np.asarray(buf)
-    ckey = comm._next_coll_key()
-    return _dispatch(comm, "Bcast", ckey, _prog_Bcast, (buf, root))
 
 
 # ---------------------------------------------------------------------------
@@ -189,19 +163,6 @@ def _prog_reduce(comm, ckey: tuple, obj: Any, op, root: int) -> _Prog:
             return None
         mask <<= 1
     return result if comm.rank == root else None
-
-
-def reduce(comm, obj: Any, op, root: int = 0) -> Any:
-    """Binomial-tree reduction to ``root``; returns None elsewhere.
-
-    Partials are combined in a canonical order (lower subtree first), so
-    floating-point results are bit-stable across runs.
-    """
-    _poll_faults(comm)
-    if comm.size == 1:
-        return obj
-    ckey = comm._next_coll_key()
-    return _dispatch(comm, "reduce", ckey, _prog_reduce, (obj, op, root))
 
 
 def _prog_allreduce(comm, ckey: tuple, obj: Any, op) -> _Prog:
@@ -271,30 +232,6 @@ def _prog_allreduce(comm, ckey: tuple, obj: Any, op) -> _Prog:
     return result
 
 
-def allreduce(comm, obj: Any, op) -> Any:
-    """Recursive-doubling allreduce: every rank gets an identical result."""
-    _poll_faults(comm)
-    if comm.size == 1:
-        return obj
-    ckey = comm._next_coll_key()
-    return _dispatch(comm, "allreduce", ckey, _prog_allreduce, (obj, op))
-
-
-def Reduce(comm, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray], op, root: int = 0) -> None:
-    """Elementwise buffer reduction into ``recvbuf`` at ``root``."""
-    result = reduce(comm, np.asarray(sendbuf), op, root)
-    if comm.rank == root:
-        if recvbuf is None:
-            raise CommMismatchError("root must supply recvbuf to Reduce")
-        np.asarray(recvbuf)[...] = result
-
-
-def Allreduce(comm, sendbuf: np.ndarray, recvbuf: np.ndarray, op) -> None:
-    """Elementwise buffer reduction with the result everywhere."""
-    result = allreduce(comm, np.asarray(sendbuf), op)
-    np.asarray(recvbuf)[...] = result
-
-
 def _prog_scan(comm, ckey: tuple, obj: Any, op) -> _Prog:
     """Program: inclusive prefix chain step for one rank."""
     result = obj
@@ -308,15 +245,6 @@ def _prog_scan(comm, ckey: tuple, obj: Any, op) -> _Prog:
     return result
 
 
-def scan(comm, obj: Any, op) -> Any:
-    """Inclusive prefix reduction along rank order (linear chain)."""
-    _poll_faults(comm)
-    if comm.size == 1:
-        return obj
-    ckey = comm._next_coll_key()
-    return _dispatch(comm, "scan", ckey, _prog_scan, (obj, op))
-
-
 def _prog_exscan(comm, ckey: tuple, obj: Any, op) -> _Prog:
     """Program: exclusive prefix chain step for one rank."""
     carry = None
@@ -328,29 +256,6 @@ def _prog_exscan(comm, ckey: tuple, obj: Any, op) -> _Prog:
         sreq = comm._coll_isend(ckey, forward, comm.rank + 1, 0)
         yield sreq
     return carry
-
-
-def exscan(comm, obj: Any, op) -> Any:
-    """Exclusive prefix reduction: rank r gets op over ranks [0, r).
-
-    Rank 0 receives None (MPI leaves its buffer undefined).
-    """
-    _poll_faults(comm)
-    ckey = comm._next_coll_key()
-    return _dispatch(comm, "exscan", ckey, _prog_exscan, (obj, op))
-
-
-def reduce_scatter_block(comm, sendobjs: Sequence[Any], op) -> Any:
-    """Reduce ``sendobjs[i]`` across ranks and deliver block i to rank i
-    (``MPI_Reduce_scatter_block``): reduce-to-0 of each block followed by
-    a linear scatter."""
-    p = comm.size
-    if len(sendobjs) != p:
-        raise CommMismatchError(
-            f"reduce_scatter_block needs exactly {p} blocks, got {len(sendobjs)}"
-        )
-    reduced = [reduce(comm, block, op, root=0) for block in sendobjs]
-    return scatter(comm, reduced if comm.rank == 0 else None, root=0)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +280,7 @@ def bcast_linear(comm, obj: Any, root: int = 0) -> Any:
         ]
         waitall(reqs)
         return obj
-    return comm._coll_recv(ckey, root, 0)
+    return comm._coll_irecv(ckey, root, 0).wait()
 
 
 def reduce_linear(comm, obj: Any, op, root: int = 0) -> Any:
@@ -408,7 +313,7 @@ def barrier_central(comm) -> None:
         waitall(sends)
     else:
         comm._coll_isend(ckey, b"", 0, 0).wait()
-        comm._coll_recv(ckey, 0, 1)
+        comm._coll_irecv(ckey, 0, 1).wait()
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +343,6 @@ def _prog_scatter(comm, ckey: tuple, sendobjs: Optional[Sequence[Any]],
     return data
 
 
-def scatter(comm, sendobjs: Optional[Sequence[Any]], root: int = 0) -> Any:
-    """Linear scatter of ``sendobjs[i]`` to rank ``i`` from ``root``."""
-    _poll_faults(comm)
-    ckey = comm._next_coll_key()
-    return _dispatch(comm, "scatter", ckey, _prog_scatter, (sendobjs, root))
-
-
 def _prog_gather(comm, ckey: tuple, obj: Any, root: int) -> _Prog:
     """Program: linear gather — root drains receives in rank order."""
     p = comm.size
@@ -460,13 +358,6 @@ def _prog_gather(comm, ckey: tuple, obj: Any, root: int) -> _Prog:
     sreq = comm._coll_isend(ckey, obj, root, 0)
     yield sreq
     return None
-
-
-def gather(comm, obj: Any, root: int = 0) -> Optional[List[Any]]:
-    """Linear gather of one object per rank into a list at ``root``."""
-    _poll_faults(comm)
-    ckey = comm._next_coll_key()
-    return _dispatch(comm, "gather", ckey, _prog_gather, (obj, root))
 
 
 def _prog_allgather(comm, ckey: tuple, obj: Any) -> _Prog:
@@ -486,15 +377,6 @@ def _prog_allgather(comm, ckey: tuple, obj: Any) -> _Prog:
     return out
 
 
-def allgather(comm, obj: Any) -> List[Any]:
-    """Ring allgather: p−1 neighbour exchanges."""
-    _poll_faults(comm)
-    if comm.size == 1:
-        return [obj]
-    ckey = comm._next_coll_key()
-    return _dispatch(comm, "allgather", ckey, _prog_allgather, (obj,))
-
-
 def _prog_alltoall(comm, ckey: tuple, sendobjs: Sequence[Any]) -> _Prog:
     """Program: pairwise personalised exchange (p−1 sendrecv steps)."""
     p = comm.size
@@ -508,18 +390,6 @@ def _prog_alltoall(comm, ckey: tuple, sendobjs: Sequence[Any]) -> _Prog:
         out[src] = yield rreq
         yield sreq
     return out
-
-
-def alltoall(comm, sendobjs: Sequence[Any]) -> List[Any]:
-    """Pairwise personalised exchange."""
-    _poll_faults(comm)
-    p = comm.size
-    if len(sendobjs) != p:
-        raise CommMismatchError(
-            f"alltoall needs exactly {p} send items, got {len(sendobjs)}"
-        )
-    ckey = comm._next_coll_key()
-    return _dispatch(comm, "alltoall", ckey, _prog_alltoall, (sendobjs,))
 
 
 # ---------------------------------------------------------------------------
@@ -563,41 +433,6 @@ def _prog_Scatterv(comm, ckey: tuple, sendbuf: Optional[np.ndarray],
         yield rreq
 
 
-def Scatterv(
-    comm,
-    sendbuf: Optional[np.ndarray],
-    counts: Sequence[int],
-    recvbuf: np.ndarray,
-    root: int = 0,
-) -> None:
-    """Scatter variable-size slices of ``sendbuf`` along axis 0."""
-    p = comm.size
-    if len(counts) != p:
-        raise CommMismatchError(f"Scatterv needs {p} counts, got {len(counts)}")
-    recvbuf = np.asarray(recvbuf)
-    ckey = comm._next_coll_key()
-    return _dispatch(
-        comm, "Scatterv", ckey, _prog_Scatterv,
-        (sendbuf, counts, recvbuf, root),
-    )
-
-
-def Scatter(comm, sendbuf: Optional[np.ndarray], recvbuf: np.ndarray, root: int = 0) -> None:
-    """Equal-slice scatter along axis 0 (``MPI_Scatter``)."""
-    recvbuf = np.asarray(recvbuf)
-    p = comm.size
-    if comm.rank == root:
-        sendbuf = np.asarray(sendbuf)
-        if sendbuf.shape[0] % p != 0:
-            raise CommMismatchError(
-                f"Scatter sendbuf axis 0 ({sendbuf.shape[0]}) not divisible by {p}"
-            )
-        n = sendbuf.shape[0] // p
-    else:
-        n = recvbuf.shape[0] if recvbuf.ndim else 1
-    Scatterv(comm, sendbuf, [n] * p, recvbuf, root)
-
-
 def _prog_Gatherv(comm, ckey: tuple, sendbuf: np.ndarray,
                   recvbuf: Optional[np.ndarray], counts: Sequence[int],
                   root: int) -> _Prog:
@@ -632,125 +467,19 @@ def _prog_Gatherv(comm, ckey: tuple, sendbuf: np.ndarray,
         yield sreq
 
 
-def Gatherv(
-    comm,
-    sendbuf: np.ndarray,
-    recvbuf: Optional[np.ndarray],
-    counts: Sequence[int],
-    root: int = 0,
-) -> None:
-    """Gather variable-size slices into ``recvbuf`` along axis 0."""
-    p = comm.size
-    if len(counts) != p:
-        raise CommMismatchError(f"Gatherv needs {p} counts, got {len(counts)}")
-    sendbuf = np.asarray(sendbuf)
-    ckey = comm._next_coll_key()
-    return _dispatch(
-        comm, "Gatherv", ckey, _prog_Gatherv,
-        (sendbuf, recvbuf, counts, root),
-    )
-
-
-def Gather(comm, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray], root: int = 0) -> None:
-    """Equal-slice gather along axis 0 (``MPI_Gather``)."""
-    sendbuf = np.asarray(sendbuf)
-    n = sendbuf.shape[0] if sendbuf.ndim else 1
-    Gatherv(comm, sendbuf, recvbuf, [n] * comm.size, root)
-
-
-def Scan(comm, sendbuf: np.ndarray, recvbuf: np.ndarray, op) -> None:
-    """Elementwise inclusive prefix reduction into ``recvbuf``."""
-    result = scan(comm, np.asarray(sendbuf), op)
-    np.asarray(recvbuf)[...] = result
-
-
-def Exscan(comm, sendbuf: np.ndarray, recvbuf: np.ndarray, op) -> None:
-    """Elementwise exclusive prefix reduction into ``recvbuf``.
-
-    Rank 0's buffer is left untouched (MPI leaves it undefined).
-    """
-    result = exscan(comm, np.asarray(sendbuf), op)
-    if result is not None:
-        np.asarray(recvbuf)[...] = result
-
-
-def Reduce_scatter_block(
-    comm, sendbuf: np.ndarray, recvbuf: np.ndarray, op
-) -> None:
-    """Reduce row i of ``sendbuf`` (shape (p, ...)) across ranks and
-    deliver it to rank i's ``recvbuf``."""
-    p = comm.size
-    sendbuf = np.asarray(sendbuf)
-    if sendbuf.shape[0] != p:
-        raise CommMismatchError(
-            f"Reduce_scatter_block sendbuf axis 0 must be {p}, "
-            f"got {sendbuf.shape[0]}"
-        )
-    result = reduce_scatter_block(comm, [sendbuf[i] for i in range(p)], op)
-    np.asarray(recvbuf)[...] = np.asarray(result).reshape(np.asarray(recvbuf).shape)
-
-
-def Allgatherv(
-    comm, sendbuf: np.ndarray, recvbuf: np.ndarray, counts: Sequence[int]
-) -> None:
-    """Variable-size allgather along axis 0 (ring of uneven blocks)."""
-    p = comm.size
-    if len(counts) != p:
-        raise CommMismatchError(f"Allgatherv needs {p} counts, got {len(counts)}")
-    recvbuf = np.asarray(recvbuf)
-    offs = _offsets(counts)
-    if offs[-1] != recvbuf.shape[0]:
-        raise CommMismatchError(
-            f"Allgatherv counts sum to {offs[-1]} but recvbuf has "
-            f"{recvbuf.shape[0]} rows"
-        )
-    blocks = allgather(comm, np.asarray(sendbuf))
-    for i, block in enumerate(blocks):
-        dst = recvbuf[offs[i] : offs[i + 1]]
-        dst[...] = np.asarray(block).reshape(dst.shape)
-
-
-def Allgather(comm, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
-    """Ring allgather into ``recvbuf`` of shape ``(p, *sendbuf.shape)``."""
-    p = comm.size
-    sendbuf = np.asarray(sendbuf)
-    recvbuf = np.asarray(recvbuf)
-    if recvbuf.shape[0] != p:
-        raise CommMismatchError(
-            f"Allgather recvbuf axis 0 must be {p}, got {recvbuf.shape[0]}"
-        )
-    blocks = allgather(comm, sendbuf)
-    for i, block in enumerate(blocks):
-        recvbuf[i] = np.asarray(block).reshape(recvbuf[i].shape)
-
-
-def Alltoall(comm, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
-    """Pairwise all-to-all over rows of ``sendbuf``/``recvbuf``."""
-    p = comm.size
-    sendbuf = np.asarray(sendbuf)
-    recvbuf = np.asarray(recvbuf)
-    if sendbuf.shape[0] != p or recvbuf.shape[0] != p:
-        raise CommMismatchError(
-            f"Alltoall buffers need axis 0 == {p}, got "
-            f"{sendbuf.shape[0]} / {recvbuf.shape[0]}"
-        )
-    rows = alltoall(comm, [sendbuf[i] for i in range(p)])
-    for i, row in enumerate(rows):
-        recvbuf[i] = np.asarray(row).reshape(recvbuf[i].shape)
-
-
 # ---------------------------------------------------------------------------
-# generator twins (thread-free engine)
+# the collectives
 #
-# Each g_* below is the command-yielding twin of the blocking wrapper of
-# the same name: identical fault-poll, validation and ckey-allocation
-# order, with the dispatch routed through coll_analytic.g_dispatch so
-# the calling rank suspends instead of blocking its thread.  Workload
-# generator mains reach these through the Communicator.g_* methods.
+# Each g_* below is one collective: fault poll, validation and ckey
+# allocation, then the program through coll_analytic.g_dispatch.  They
+# yield scheduling commands, so the calling rank suspends instead of
+# blocking its thread.  Communicator.g_* and the blocking
+# Communicator methods (drive_blocking over g_*) both land here.
 # ---------------------------------------------------------------------------
 
 def g_barrier(comm) -> _Prog:
-    """Generator twin of :func:`barrier`."""
+    """Dissemination barrier: after it, every rank's clock is >= the
+    latest arrival, plus the log-depth message cost."""
     _poll_faults(comm)
     if comm.size == 1:
         return None
@@ -759,7 +488,7 @@ def g_barrier(comm) -> _Prog:
 
 
 def g_bcast(comm, obj: Any, root: int = 0) -> _Prog:
-    """Generator twin of :func:`bcast`."""
+    """Binomial-tree broadcast of a Python object."""
     _poll_faults(comm)
     if comm.size == 1:
         return obj
@@ -768,7 +497,7 @@ def g_bcast(comm, obj: Any, root: int = 0) -> _Prog:
 
 
 def g_Bcast(comm, buf: np.ndarray, root: int = 0) -> _Prog:
-    """Generator twin of :func:`Bcast`."""
+    """Binomial-tree broadcast filling ``buf`` in place on non-roots."""
     _poll_faults(comm)
     if comm.size == 1:
         return None
@@ -778,7 +507,11 @@ def g_Bcast(comm, buf: np.ndarray, root: int = 0) -> _Prog:
 
 
 def g_reduce(comm, obj: Any, op, root: int = 0) -> _Prog:
-    """Generator twin of :func:`reduce`."""
+    """Binomial-tree reduction to ``root``; returns None elsewhere.
+
+    Partials are combined in a canonical order (lower subtree first), so
+    floating-point results are bit-stable across runs.
+    """
     _poll_faults(comm)
     if comm.size == 1:
         return obj
@@ -787,7 +520,7 @@ def g_reduce(comm, obj: Any, op, root: int = 0) -> _Prog:
 
 
 def g_allreduce(comm, obj: Any, op) -> _Prog:
-    """Generator twin of :func:`allreduce`."""
+    """Recursive-doubling allreduce: every rank gets an identical result."""
     _poll_faults(comm)
     if comm.size == 1:
         return obj
@@ -797,7 +530,7 @@ def g_allreduce(comm, obj: Any, op) -> _Prog:
 
 def g_Reduce(comm, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray], op,
              root: int = 0) -> _Prog:
-    """Generator twin of :func:`Reduce`."""
+    """Elementwise buffer reduction into ``recvbuf`` at ``root``."""
     result = yield from g_reduce(comm, np.asarray(sendbuf), op, root)
     if comm.rank == root:
         if recvbuf is None:
@@ -807,14 +540,14 @@ def g_Reduce(comm, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray], op,
 
 
 def g_Allreduce(comm, sendbuf: np.ndarray, recvbuf: np.ndarray, op) -> _Prog:
-    """Generator twin of :func:`Allreduce`."""
+    """Elementwise buffer reduction with the result everywhere."""
     result = yield from g_allreduce(comm, np.asarray(sendbuf), op)
     np.asarray(recvbuf)[...] = result
     return None
 
 
 def g_scan(comm, obj: Any, op) -> _Prog:
-    """Generator twin of :func:`scan`."""
+    """Inclusive prefix reduction along rank order (linear chain)."""
     _poll_faults(comm)
     if comm.size == 1:
         return obj
@@ -823,14 +556,19 @@ def g_scan(comm, obj: Any, op) -> _Prog:
 
 
 def g_exscan(comm, obj: Any, op) -> _Prog:
-    """Generator twin of :func:`exscan`."""
+    """Exclusive prefix reduction: rank r gets op over ranks [0, r).
+
+    Rank 0 receives None (MPI leaves its buffer undefined).
+    """
     _poll_faults(comm)
     ckey = comm._next_coll_key()
     return (yield from _g_dispatch(comm, "exscan", ckey, _prog_exscan, (obj, op)))
 
 
 def g_reduce_scatter_block(comm, sendobjs: Sequence[Any], op) -> _Prog:
-    """Generator twin of :func:`reduce_scatter_block`."""
+    """Reduce ``sendobjs[i]`` across ranks and deliver block i to rank i
+    (``MPI_Reduce_scatter_block``): reduce-to-0 of each block followed by
+    a linear scatter."""
     p = comm.size
     if len(sendobjs) != p:
         raise CommMismatchError(
@@ -843,7 +581,7 @@ def g_reduce_scatter_block(comm, sendobjs: Sequence[Any], op) -> _Prog:
 
 
 def g_scatter(comm, sendobjs: Optional[Sequence[Any]], root: int = 0) -> _Prog:
-    """Generator twin of :func:`scatter`."""
+    """Linear scatter of ``sendobjs[i]`` to rank ``i`` from ``root``."""
     _poll_faults(comm)
     ckey = comm._next_coll_key()
     return (yield from _g_dispatch(comm, "scatter", ckey, _prog_scatter,
@@ -851,14 +589,14 @@ def g_scatter(comm, sendobjs: Optional[Sequence[Any]], root: int = 0) -> _Prog:
 
 
 def g_gather(comm, obj: Any, root: int = 0) -> _Prog:
-    """Generator twin of :func:`gather`."""
+    """Linear gather of one object per rank into a list at ``root``."""
     _poll_faults(comm)
     ckey = comm._next_coll_key()
     return (yield from _g_dispatch(comm, "gather", ckey, _prog_gather, (obj, root)))
 
 
 def g_allgather(comm, obj: Any) -> _Prog:
-    """Generator twin of :func:`allgather`."""
+    """Ring allgather: p−1 neighbour exchanges."""
     _poll_faults(comm)
     if comm.size == 1:
         return [obj]
@@ -867,7 +605,7 @@ def g_allgather(comm, obj: Any) -> _Prog:
 
 
 def g_alltoall(comm, sendobjs: Sequence[Any]) -> _Prog:
-    """Generator twin of :func:`alltoall`."""
+    """Pairwise personalised exchange."""
     _poll_faults(comm)
     p = comm.size
     if len(sendobjs) != p:
@@ -881,7 +619,7 @@ def g_alltoall(comm, sendobjs: Sequence[Any]) -> _Prog:
 
 def g_Scatterv(comm, sendbuf: Optional[np.ndarray], counts: Sequence[int],
                recvbuf: np.ndarray, root: int = 0) -> _Prog:
-    """Generator twin of :func:`Scatterv`."""
+    """Scatter variable-size slices of ``sendbuf`` along axis 0."""
     p = comm.size
     if len(counts) != p:
         raise CommMismatchError(f"Scatterv needs {p} counts, got {len(counts)}")
@@ -895,7 +633,7 @@ def g_Scatterv(comm, sendbuf: Optional[np.ndarray], counts: Sequence[int],
 
 def g_Scatter(comm, sendbuf: Optional[np.ndarray], recvbuf: np.ndarray,
               root: int = 0) -> _Prog:
-    """Generator twin of :func:`Scatter`."""
+    """Equal-slice scatter along axis 0 (``MPI_Scatter``)."""
     recvbuf = np.asarray(recvbuf)
     p = comm.size
     if comm.rank == root:
@@ -912,7 +650,7 @@ def g_Scatter(comm, sendbuf: Optional[np.ndarray], recvbuf: np.ndarray,
 
 def g_Gatherv(comm, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray],
               counts: Sequence[int], root: int = 0) -> _Prog:
-    """Generator twin of :func:`Gatherv`."""
+    """Gather variable-size slices into ``recvbuf`` along axis 0."""
     p = comm.size
     if len(counts) != p:
         raise CommMismatchError(f"Gatherv needs {p} counts, got {len(counts)}")
@@ -926,21 +664,24 @@ def g_Gatherv(comm, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray],
 
 def g_Gather(comm, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray],
              root: int = 0) -> _Prog:
-    """Generator twin of :func:`Gather`."""
+    """Equal-slice gather along axis 0 (``MPI_Gather``)."""
     sendbuf = np.asarray(sendbuf)
     n = sendbuf.shape[0] if sendbuf.ndim else 1
     return (yield from g_Gatherv(comm, sendbuf, recvbuf, [n] * comm.size, root))
 
 
 def g_Scan(comm, sendbuf: np.ndarray, recvbuf: np.ndarray, op) -> _Prog:
-    """Generator twin of :func:`Scan`."""
+    """Elementwise inclusive prefix reduction into ``recvbuf``."""
     result = yield from g_scan(comm, np.asarray(sendbuf), op)
     np.asarray(recvbuf)[...] = result
     return None
 
 
 def g_Exscan(comm, sendbuf: np.ndarray, recvbuf: np.ndarray, op) -> _Prog:
-    """Generator twin of :func:`Exscan`."""
+    """Elementwise exclusive prefix reduction into ``recvbuf``.
+
+    Rank 0's buffer is left untouched (MPI leaves it undefined).
+    """
     result = yield from g_exscan(comm, np.asarray(sendbuf), op)
     if result is not None:
         np.asarray(recvbuf)[...] = result
@@ -949,7 +690,8 @@ def g_Exscan(comm, sendbuf: np.ndarray, recvbuf: np.ndarray, op) -> _Prog:
 
 def g_Reduce_scatter_block(comm, sendbuf: np.ndarray, recvbuf: np.ndarray,
                            op) -> _Prog:
-    """Generator twin of :func:`Reduce_scatter_block`."""
+    """Reduce row i of ``sendbuf`` (shape (p, ...)) across ranks and
+    deliver it to rank i's ``recvbuf``."""
     p = comm.size
     sendbuf = np.asarray(sendbuf)
     if sendbuf.shape[0] != p:
@@ -966,7 +708,7 @@ def g_Reduce_scatter_block(comm, sendbuf: np.ndarray, recvbuf: np.ndarray,
 
 def g_Allgatherv(comm, sendbuf: np.ndarray, recvbuf: np.ndarray,
                  counts: Sequence[int]) -> _Prog:
-    """Generator twin of :func:`Allgatherv`."""
+    """Variable-size allgather along axis 0 (ring of uneven blocks)."""
     p = comm.size
     if len(counts) != p:
         raise CommMismatchError(f"Allgatherv needs {p} counts, got {len(counts)}")
@@ -985,7 +727,7 @@ def g_Allgatherv(comm, sendbuf: np.ndarray, recvbuf: np.ndarray,
 
 
 def g_Allgather(comm, sendbuf: np.ndarray, recvbuf: np.ndarray) -> _Prog:
-    """Generator twin of :func:`Allgather`."""
+    """Ring allgather into ``recvbuf`` of shape ``(p, *sendbuf.shape)``."""
     p = comm.size
     sendbuf = np.asarray(sendbuf)
     recvbuf = np.asarray(recvbuf)
@@ -1000,7 +742,7 @@ def g_Allgather(comm, sendbuf: np.ndarray, recvbuf: np.ndarray) -> _Prog:
 
 
 def g_Alltoall(comm, sendbuf: np.ndarray, recvbuf: np.ndarray) -> _Prog:
-    """Generator twin of :func:`Alltoall`."""
+    """Pairwise all-to-all over rows of ``sendbuf``/``recvbuf``."""
     p = comm.size
     sendbuf = np.asarray(sendbuf)
     recvbuf = np.asarray(recvbuf)

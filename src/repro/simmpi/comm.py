@@ -28,9 +28,9 @@ from repro.errors import (
 from repro.simmpi.api import ANY_SOURCE, ANY_TAG, PROC_NULL, TAG_UB, UNDEFINED
 from repro.simmpi import collectives as _coll
 from repro.simmpi.datatypes import clone_payload, payload_nbytes
-from repro.simmpi.request import Request, Status, waitall
+from repro.simmpi.request import Request, Status
 from repro.simmpi.reduce_ops import ReduceOp, SUM
-from repro.simmpi.sched import g_wait, g_waitall
+from repro.simmpi.sched import drive_blocking, g_wait, g_waitall
 
 
 class Group:
@@ -108,19 +108,7 @@ class Communicator:
         lists are agreed through an allgather on the parent, so the call
         carries a real synchronisation cost like its MPI counterpart.
         """
-        self._check_alive()
-        seq = self._child_seq
-        self._child_seq += 1
-        triple = (color, key, self.rank)
-        all_triples = self.allgather(triple)
-        if color == UNDEFINED:
-            return None
-        members = sorted(
-            (k, r) for (c, k, r) in all_triples if c == color
-        )
-        world = [self._group.ranks[r] for (_, r) in members]
-        cid = (*self.cid, "s", seq, color)
-        return Communicator(self.ctx, Group(world), cid)
+        return drive_blocking(self.ctx, self.g_split(color, key))
 
     def g_split(self, color: int, key: int = 0):
         """Generator twin of :meth:`split` (``yield from comm.g_split(...)``)."""
@@ -238,7 +226,7 @@ class Communicator:
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking object send (returns when the message is in flight or,
         for rendezvous sizes, delivered)."""
-        self.isend(obj, dest, tag).wait()
+        drive_blocking(self.ctx, self.g_send(obj, dest, tag))
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Non-blocking object receive."""
@@ -261,29 +249,14 @@ class Communicator:
         status: Optional[Status] = None,
     ) -> Any:
         """Blocking object receive; returns the received object."""
-        req = self.irecv(source, tag)
-        data = req.wait(status)
-        if status is not None and status.source >= 0:
-            status.source = self._comm_source(status.source)
-        return data
+        return drive_blocking(self.ctx, self.g_recv(source, tag, status))
 
     def probe(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> Status:
         """Block until a matching message is pending; return its Status
         without consuming it (``MPI_Probe``)."""
-        self._check_alive()
-        self._check_source(source)
-        self._check_tag(tag, allow_any=True)
-        ctx = self.ctx
-        req = Request(ctx, "recv", ("probe(source={}, tag={})", source, tag))
-        world_source = source if source == ANY_SOURCE else self._world_rank(source)
-        ctx.engine.fabric.post_probe(ctx, self._p2p_key(), world_source, tag, req)
-        st = Status()
-        req.wait(st)
-        if st.source >= 0:
-            st.source = self._comm_source(st.source)
-        return st
+        return drive_blocking(self.ctx, self.g_probe(source, tag))
 
     def iprobe(
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG
@@ -317,20 +290,16 @@ class Communicator:
         status: Optional[Status] = None,
     ) -> Any:
         """Combined send+receive, deadlock-free like ``MPI_Sendrecv``."""
-        rreq = self.irecv(source, recvtag)
-        sreq = self.isend(sendobj, dest, sendtag)
-        data = rreq.wait(status)
-        if status is not None and status.source >= 0:
-            status.source = self._comm_source(status.source)
-        sreq.wait()
-        return data
+        return drive_blocking(self.ctx, self.g_sendrecv(
+            sendobj, dest, sendtag, source, recvtag, status))
 
     # -- point-to-point: generator twins -------------------------------------------------
     #
-    # Command-yielding twins of the blocking calls above, for generator
-    # mains (``yield from comm.g_recv(...)``).  The non-blocking posts
-    # (isend/irecv/Isend/Irecv/iprobe) need no twins — they never block;
-    # wait on their requests with repro.simmpi.sched.g_wait/g_waitall.
+    # The implementations of the blocking calls (``yield from
+    # comm.g_recv(...)`` in a generator main; the blocking methods drive
+    # these).  The non-blocking posts (isend/irecv/Isend/Irecv/iprobe)
+    # need no twins — they never block; wait on their requests with
+    # repro.simmpi.sched.g_wait/g_waitall.
 
     def g_send(self, obj: Any, dest: int, tag: int = 0):
         """Generator twin of :meth:`send`."""
@@ -431,7 +400,7 @@ class Communicator:
 
     def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
         """Blocking buffer send."""
-        self.Isend(buf, dest, tag).wait()
+        drive_blocking(self.ctx, self.g_Send(buf, dest, tag))
 
     def Irecv(self, buf: np.ndarray, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Non-blocking buffer receive into caller-owned ``buf``."""
@@ -457,10 +426,7 @@ class Communicator:
         status: Optional[Status] = None,
     ) -> None:
         """Blocking buffer receive."""
-        req = self.Irecv(buf, source, tag)
-        req.wait(status)
-        if status is not None and status.source >= 0:
-            status.source = self._comm_source(status.source)
+        drive_blocking(self.ctx, self.g_Recv(buf, source, tag, status))
 
     def Sendrecv(
         self,
@@ -472,9 +438,8 @@ class Communicator:
         recvtag: int = ANY_TAG,
     ) -> None:
         """Combined buffer send+receive."""
-        rreq = self.Irecv(recvbuf, source, recvtag)
-        sreq = self.Isend(sendbuf, dest, sendtag)
-        waitall([rreq, sreq])
+        drive_blocking(self.ctx, self.g_Sendrecv(
+            sendbuf, dest, recvbuf, source, sendtag, recvtag))
 
     # -- persistent requests (MPI_Send_init / Recv_init / Start) -----------------------
 
@@ -514,82 +479,67 @@ class Communicator:
 
     def barrier(self) -> None:
         """Synchronise all ranks (dissemination algorithm)."""
-        self._collective_entry("barrier")
-        _coll.barrier(self)
+        drive_blocking(self.ctx, self.g_barrier())
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast an object from ``root``; returns it on every rank."""
-        self._collective_entry("bcast")
-        return _coll.bcast(self, obj, root)
+        return drive_blocking(self.ctx, self.g_bcast(obj, root))
 
     def scatter(self, sendobjs: Optional[Sequence[Any]], root: int = 0) -> Any:
         """Scatter one object to each rank from a root-side sequence."""
-        self._collective_entry("scatter")
-        return _coll.scatter(self, sendobjs, root)
+        return drive_blocking(self.ctx, self.g_scatter(sendobjs, root))
 
     def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
         """Gather one object per rank into a list at ``root``."""
-        self._collective_entry("gather")
-        return _coll.gather(self, obj, root)
+        return drive_blocking(self.ctx, self.g_gather(obj, root))
 
     def allgather(self, obj: Any) -> List[Any]:
         """Gather one object per rank onto every rank (ring)."""
-        self._collective_entry("allgather")
-        return _coll.allgather(self, obj)
+        return drive_blocking(self.ctx, self.g_allgather(obj))
 
     def alltoall(self, sendobjs: Sequence[Any]) -> List[Any]:
         """Personalised all-to-all exchange."""
-        self._collective_entry("alltoall")
-        return _coll.alltoall(self, sendobjs)
+        return drive_blocking(self.ctx, self.g_alltoall(sendobjs))
 
     def reduce(self, obj: Any, op: ReduceOp = SUM, root: int = 0) -> Any:
         """Reduce to ``root`` (binomial tree); None on non-roots."""
-        self._collective_entry("reduce")
-        return _coll.reduce(self, obj, op, root)
+        return drive_blocking(self.ctx, self.g_reduce(obj, op, root))
 
     def allreduce(self, obj: Any, op: ReduceOp = SUM) -> Any:
         """Reduce + broadcast; result on every rank."""
-        self._collective_entry("allreduce")
-        return _coll.allreduce(self, obj, op)
+        return drive_blocking(self.ctx, self.g_allreduce(obj, op))
 
     def scan(self, obj: Any, op: ReduceOp = SUM) -> Any:
         """Inclusive prefix reduction in rank order."""
-        self._collective_entry("scan")
-        return _coll.scan(self, obj, op)
+        return drive_blocking(self.ctx, self.g_scan(obj, op))
 
     def exscan(self, obj: Any, op: ReduceOp = SUM) -> Any:
         """Exclusive prefix reduction; None on rank 0."""
-        self._collective_entry("exscan")
-        return _coll.exscan(self, obj, op)
+        return drive_blocking(self.ctx, self.g_exscan(obj, op))
 
     def reduce_scatter_block(self, sendobjs: Sequence[Any], op: ReduceOp = SUM) -> Any:
         """Reduce block i across ranks; deliver it to rank i."""
-        self._collective_entry("reduce_scatter_block")
-        return _coll.reduce_scatter_block(self, sendobjs, op)
+        return drive_blocking(self.ctx, self.g_reduce_scatter_block(sendobjs, op))
 
     # -- collectives (buffer mode) --------------------------------------------------------
 
     def Bcast(self, buf: np.ndarray, root: int = 0) -> None:
         """Broadcast ``buf`` in place from ``root`` (binomial tree)."""
-        self._collective_entry("Bcast")
-        _coll.Bcast(self, buf, root)
+        drive_blocking(self.ctx, self.g_Bcast(buf, root))
 
     def Reduce(
         self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray], op: ReduceOp = SUM, root: int = 0
     ) -> None:
         """Elementwise reduce into ``recvbuf`` at ``root``."""
-        self._collective_entry("Reduce")
-        _coll.Reduce(self, sendbuf, recvbuf, op, root)
+        drive_blocking(self.ctx, self.g_Reduce(sendbuf, recvbuf, op, root))
 
     def Allreduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray, op: ReduceOp = SUM) -> None:
         """Elementwise reduce with the result on every rank."""
-        self._collective_entry("Allreduce")
-        _coll.Allreduce(self, sendbuf, recvbuf, op)
+        drive_blocking(self.ctx, self.g_Allreduce(sendbuf, recvbuf, op))
 
     def Scatter(self, sendbuf: Optional[np.ndarray], recvbuf: np.ndarray, root: int = 0) -> None:
         """Scatter equal slices of root's ``sendbuf`` (first axis)."""
-        self._collective_entry("Scatter")
-        _coll.Scatter(self, sendbuf, recvbuf, root)
+        drive_blocking(self.ctx, self.g_Scatter(sendbuf, recvbuf, root))
 
     def Scatterv(
         self,
@@ -599,13 +549,11 @@ class Communicator:
         root: int = 0,
     ) -> None:
         """Scatter variable-size slices (counts in elements of axis 0)."""
-        self._collective_entry("Scatterv")
-        _coll.Scatterv(self, sendbuf, counts, recvbuf, root)
+        drive_blocking(self.ctx, self.g_Scatterv(sendbuf, counts, recvbuf, root))
 
     def Gather(self, sendbuf: np.ndarray, recvbuf: Optional[np.ndarray], root: int = 0) -> None:
         """Gather equal slices into root's ``recvbuf`` (first axis)."""
-        self._collective_entry("Gather")
-        _coll.Gather(self, sendbuf, recvbuf, root)
+        drive_blocking(self.ctx, self.g_Gather(sendbuf, recvbuf, root))
 
     def Gatherv(
         self,
@@ -615,42 +563,35 @@ class Communicator:
         root: int = 0,
     ) -> None:
         """Gather variable-size slices (counts in elements of axis 0)."""
-        self._collective_entry("Gatherv")
-        _coll.Gatherv(self, sendbuf, recvbuf, counts, root)
+        drive_blocking(self.ctx, self.g_Gatherv(sendbuf, recvbuf, counts, root))
 
     def Allgather(self, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
         """Gather equal blocks onto every rank (ring)."""
-        self._collective_entry("Allgather")
-        _coll.Allgather(self, sendbuf, recvbuf)
+        drive_blocking(self.ctx, self.g_Allgather(sendbuf, recvbuf))
 
     def Allgatherv(
         self, sendbuf: np.ndarray, recvbuf: np.ndarray, counts: Sequence[int]
     ) -> None:
         """Gather variable-size blocks onto every rank (axis 0)."""
-        self._collective_entry("Allgatherv")
-        _coll.Allgatherv(self, sendbuf, recvbuf, counts)
+        drive_blocking(self.ctx, self.g_Allgatherv(sendbuf, recvbuf, counts))
 
     def Alltoall(self, sendbuf: np.ndarray, recvbuf: np.ndarray) -> None:
         """Personalised all-to-all over equal blocks (pairwise)."""
-        self._collective_entry("Alltoall")
-        _coll.Alltoall(self, sendbuf, recvbuf)
+        drive_blocking(self.ctx, self.g_Alltoall(sendbuf, recvbuf))
 
     def Scan(self, sendbuf: np.ndarray, recvbuf: np.ndarray, op: ReduceOp = SUM) -> None:
         """Elementwise inclusive prefix reduction."""
-        self._collective_entry("Scan")
-        _coll.Scan(self, sendbuf, recvbuf, op)
+        drive_blocking(self.ctx, self.g_Scan(sendbuf, recvbuf, op))
 
     def Exscan(self, sendbuf: np.ndarray, recvbuf: np.ndarray, op: ReduceOp = SUM) -> None:
         """Elementwise exclusive prefix reduction (rank 0 untouched)."""
-        self._collective_entry("Exscan")
-        _coll.Exscan(self, sendbuf, recvbuf, op)
+        drive_blocking(self.ctx, self.g_Exscan(sendbuf, recvbuf, op))
 
     def Reduce_scatter_block(
         self, sendbuf: np.ndarray, recvbuf: np.ndarray, op: ReduceOp = SUM
     ) -> None:
         """Reduce row i across ranks, deliver it to rank i."""
-        self._collective_entry("Reduce_scatter_block")
-        _coll.Reduce_scatter_block(self, sendbuf, recvbuf, op)
+        drive_blocking(self.ctx, self.g_Reduce_scatter_block(sendbuf, recvbuf, op))
 
     def _collective_entry(self, name: str) -> None:
         self._check_alive()
@@ -660,11 +601,10 @@ class Communicator:
 
     # -- collectives: generator twins ------------------------------------------------------
     #
-    # Command-yielding twins of the collective methods above, for
-    # generator mains (``result = yield from comm.g_allreduce(x)``).
-    # Entry bookkeeping, validation and sub-context allocation are
-    # identical, so simulated outcomes are bit-identical to the
-    # blocking calls.
+    # The implementations of the collective methods above, for generator
+    # mains (``result = yield from comm.g_allreduce(x)``); the blocking
+    # methods drive these, so both spellings share entry bookkeeping,
+    # validation and sub-context allocation and are bit-identical.
 
     def g_barrier(self):
         """Generator twin of :meth:`barrier`."""
@@ -830,9 +770,6 @@ class Communicator:
         )
         return req
 
-    def _coll_recv(self, ckey: tuple, source: int, tag: int) -> Any:
-        return self._coll_irecv(ckey, source, tag).wait()
-
     def _coll_irecv_into(self, ckey: tuple, buf: np.ndarray, source: int, tag: int) -> Request:
         ctx = self.ctx
         req = Request(ctx, "recv", ("coll-recv-into(source={}, tag={})", source, tag))
@@ -840,9 +777,6 @@ class Communicator:
             ctx, ckey, self._world_rank(source), tag, np.asarray(buf), req
         )
         return req
-
-    def _coll_recv_into(self, ckey: tuple, buf: np.ndarray, source: int, tag: int) -> None:
-        self._coll_irecv_into(ckey, buf, source, tag).wait()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Communicator(cid={self.cid}, rank={self.rank}/{self.size})"
@@ -887,8 +821,7 @@ class PersistentRequest:
         """Wait on the active instance."""
         if self._active is None:
             raise RequestError("persistent request waited before start()")
-        out = self._active.wait(status)
-        return out
+        return self._active.wait(status)
 
     @property
     def done(self) -> bool:

@@ -1,9 +1,10 @@
 """Per-rank execution context.
 
 A :class:`RankContext` is the handle workload code receives: it carries the
-rank's private virtual clock, its seeded RNG, the world communicator, the
-compute-time charging interface and the parking primitive used by blocking
-communication.  It is the simulated analogue of "the MPI process".
+rank's private virtual clock, its seeded RNG, the world communicator and
+the compute-time charging interface.  It is the simulated analogue of "the
+MPI process".  Blocking communication parks the rank through
+:func:`repro.simmpi.sched.drive_blocking`.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import numpy as np
 
 from repro.errors import EngineStateError
 from repro.machine.roofline import RooflineModel, WorkEstimate
-from repro.simmpi.request import Request
-from repro.simmpi.sched import waitany_info
 
 
 class RankContext:
@@ -95,57 +94,6 @@ class RankContext:
             seconds += faults.noise_delay(self.rank, self._clock)
         self._advance(seconds)
         return seconds
-
-    # -- blocking -----------------------------------------------------------------
-
-    def _block_on_request(self, req: Request) -> None:
-        """Park this rank until the fabric completes ``req``."""
-        if req.done:  # pragma: no cover - guarded by callers
-            return
-        req.waiter = self.rank
-        self.engine.park_current(self._thread, ("waiting on {}", req))
-        if not req.done:
-            raise EngineStateError(
-                f"rank {self.rank} woken but {req.label} still pending"
-            )  # pragma: no cover - engine invariant
-
-    def _park(self, info: str) -> None:
-        """Park this rank with a diagnostic label until made READY again.
-
-        Unlike :meth:`_block_on_request` no request completion is
-        involved — the waker calls ``engine.make_ready`` explicitly.
-        The collective gate uses this for its entry/exit rendezvous;
-        parking never moves the virtual clock.
-        """
-        self.engine.park_current(self._thread, info)
-
-    def _yield_baton(self) -> None:
-        """Hand the baton back and rejoin the ready queue at ``now``.
-
-        Lets a rank that just woke peers compete with them under the
-        engine's smallest-``(clock, rank)`` rule instead of running on.
-        """
-        self.engine.yield_current(self._thread)
-
-    def _block_on_any(self, requests) -> None:
-        """Park this rank until *any* of ``requests`` completes.
-
-        Used by waitany/waitsome.  On wake, stale waiter marks on the
-        still-pending siblings are cleared.
-        """
-        pending = [r for r in requests if not r.done]
-        if not pending:
-            return
-        for r in pending:
-            r.waiter = self.rank
-        self.engine.park_current(self._thread, waitany_info(pending))
-        for r in pending:
-            if r.waiter == self.rank:
-                r.waiter = None
-        if not any(r.done for r in requests):
-            raise EngineStateError(
-                f"rank {self.rank} woken from waitany with nothing done"
-            )  # pragma: no cover - engine invariant
 
     # -- misc -----------------------------------------------------------------------
 

@@ -74,11 +74,7 @@ from repro.faults.runtime import FaultRuntime
 from repro.machine.catalog import laptop
 from repro.machine.spec import MachineSpec
 from repro.simmpi.api import ENGINE_ENV, ENGINE_THREADFREE, ENGINE_THREADS
-from repro.simmpi.coll_analytic import (
-    CollectiveGate,
-    analytic_enabled,
-    analytic_off_kinds,
-)
+from repro.simmpi.coll_analytic import CollectiveGate, analytic_enabled
 from repro.simmpi.network import NetworkModel
 from repro.simmpi.p2p import MessageFabric
 from repro.simmpi.pmpi import ToolRegistry
@@ -449,11 +445,6 @@ class _EngineBase:
         self.coll_analytic = (
             analytic_enabled() if coll_analytic is None else bool(coll_analytic)
         )
-        #: Collective kinds opted out of the analytic path (lowercased);
-        #: env-driven unless coll_analytic was forced by argument.
-        self.coll_analytic_off = (
-            analytic_off_kinds() if coll_analytic is None else frozenset()
-        )
         #: Steady-state round capture & replay (thread-free engine only;
         #: see repro.simmpi.macrostep).  None follows REPRO_MACROSTEP.
         from repro.simmpi.macrostep import macrostep_enabled
@@ -656,15 +647,6 @@ class _EngineBase:
         """
         if self._faults is not None:
             self._faults.poll(ctx)
-
-    def analytic_for(self, kind: str) -> bool:
-        """Whether the analytic fast path applies to collective ``kind``.
-
-        The global switch (:attr:`coll_analytic`) composed with the
-        per-collective opt-out list (``REPRO_COLL_ANALYTIC=-reduce``);
-        kind matching is case-insensitive.
-        """
-        return self.coll_analytic and kind.lower() not in self.coll_analytic_off
 
     def wake_if_waiting(self, req: Request) -> None:
         """Mark the rank blocked on ``req`` (if any) runnable again.

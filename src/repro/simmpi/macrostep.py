@@ -1213,9 +1213,9 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
         else:
             # Last arrival resolves the invocation.  The analytic
             # branch is normally unreachable — the binding policy keeps
-            # this method off when the analytic path would take the
-            # kind — but kept for correctness under config drift.
-            if eng.analytic_for("Allreduce") and faults is None:
+            # this method off when the analytic path is on — but kept
+            # for correctness under config drift.
+            if eng.coll_analytic and faults is None:
                 entry.mode = "fast"
                 _Replay(entry).run()
                 gate.fast += 1
@@ -1381,9 +1381,9 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
     comm.g_Sendrecv = lean_g_Sendrecv
     comm._collective_entry = lean_collective_entry
     # The compiled collective binds only when the gate would go
-    # threaded; otherwise the analytic fast path owns the kind and the
+    # threaded; otherwise the analytic fast path owns it and the
     # choke-point guard above keeps the template in sync.
-    if not (eng.analytic_for("Allreduce") and faults is None):
+    if not (eng.coll_analytic and faults is None):
         comm.g_Allreduce = lean_g_Allreduce
 
 

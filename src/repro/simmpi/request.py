@@ -6,6 +6,10 @@ which the operation finishes; ``wait()`` advances the caller's clock to at
 least that timestamp (and parks the rank thread if the match has not
 happened yet).  :class:`Status` mirrors ``MPI_Status`` — source, tag and
 element count of the matched message.
+
+The blocking waits here are the generator waits of
+:mod:`repro.simmpi.sched` (``g_wait`` and friends) run to completion by
+:func:`~repro.simmpi.sched.drive_blocking`.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.errors import RequestError
+from repro.simmpi.sched import drive_blocking, g_wait, g_waitall, g_waitany, g_waitsome
 
 
 class Status:
@@ -114,17 +119,12 @@ class Request:
         Advances the caller's clock to the completion timestamp.  Waiting
         twice on the same request is an error, as in MPI.
         """
-        if self._waited:
-            raise RequestError(f"request {self.label} waited twice")
-        if not self.done:
-            self._ctx._block_on_request(self)
-        self._waited = True
-        self._ctx._advance_to(self.completion_time)
-        if status is not None:
-            status.source = self.status.source
-            status.tag = self.status.tag
-            status.count = self.status.count
-        return self.data
+        return drive_blocking(self._ctx, g_wait(self, status))
+
+
+def _ctx_of(requests: list[Request]):
+    """The waiting rank's context (None for an empty list: never used)."""
+    return requests[0]._ctx if requests else None
 
 
 def waitall(requests: list[Request], statuses: Optional[list[Status]] = None) -> list[Any]:
@@ -133,11 +133,7 @@ def waitall(requests: list[Request], statuses: Optional[list[Status]] = None) ->
     The caller's clock ends at the max completion time, as a real
     ``MPI_Waitall`` would observe.
     """
-    out = []
-    for i, req in enumerate(requests):
-        st = statuses[i] if statuses is not None else None
-        out.append(req.wait(st))
-    return out
+    return drive_blocking(_ctx_of(requests), g_waitall(requests, statuses))
 
 
 def waitany(requests: list[Request], status: Optional[Status] = None):
@@ -148,32 +144,14 @@ def waitany(requests: list[Request], status: Optional[Status] = None):
     would observe first).  The chosen request is consumed (waited);
     the others stay pending.
     """
-    if not requests:
-        raise RequestError("waitany needs at least one request")
-    ctx = requests[0]._ctx
-    candidates = [r for r in requests if r.done and not r._waited]
-    if not candidates:
-        ctx._block_on_any(requests)
-        candidates = [r for r in requests if r.done and not r._waited]
-    req = min(candidates, key=lambda r: r.completion_time)
-    data = req.wait(status)
-    return requests.index(req), data
+    return drive_blocking(_ctx_of(requests), g_waitany(requests, status))
 
 
 def waitsome(requests: list[Request]) -> list:
     """Wait until at least one request completes; consume *all* requests
     complete at that virtual instant.  Returns ``[(index, data), ...]``
     sorted by completion time (``MPI_Waitsome``)."""
-    if not requests:
-        raise RequestError("waitsome needs at least one request")
-    ctx = requests[0]._ctx
-    if not any(r.done and not r._waited for r in requests):
-        ctx._block_on_any(requests)
-    ready = sorted(
-        (r for r in requests if r.done and not r._waited),
-        key=lambda r: r.completion_time,
-    )
-    return [(requests.index(r), r.wait()) for r in ready]
+    return drive_blocking(_ctx_of(requests), g_waitsome(requests))
 
 
 def testall(requests: list[Request]) -> bool:

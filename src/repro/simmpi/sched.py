@@ -21,9 +21,9 @@ one OS thread drive every rank.  A driver resumes the generator and
 interprets what it yields:
 
 ``Request``
-    Wait for the request: block iff still pending, then apply
-    ``Request.wait``'s bookkeeping — the waited mark, the clock advance
-    to the completion stamp — and send the payload back in.
+    Wait for the request: block iff still pending, then apply the wait
+    bookkeeping — the waited mark, the clock advance to the completion
+    stamp — and send the payload back in.
 ``Park(info)``
     Block with a diagnostic label until an explicit ``make_ready`` (the
     collective gate's entry/exit rendezvous).
@@ -32,22 +32,26 @@ interprets what it yields:
 ``WaitAny(requests)``
     Block until any of the requests completes (waitany/waitsome).
 
-Two drivers exist: :func:`drive_blocking` maps each command onto the
-threaded engine's parking primitives (so the same generator source runs
-unchanged under thread-per-rank), and ``ThreadFreeEngine._segment``
-interprets the commands inline in its event loop.  ``g_wait`` /
-``g_waitall`` / ``g_waitany`` / ``g_waitsome`` are the generator twins
-of the :mod:`repro.simmpi.request` wait calls.
+Two drivers interpret the commands: ``ThreadFreeEngine._segment``
+inline in its event loop, and :func:`drive_blocking`, which maps each
+command onto the threaded engine's parking primitives.  Every MPI call
+is written once, as a generator; its blocking spelling
+(``Request.wait``, ``waitall``, ``comm.recv``, ``comm.allreduce``, ...)
+is that generator run by :func:`drive_blocking`.  ``g_wait`` /
+``g_waitall`` / ``g_waitany`` / ``g_waitsome`` below are the wait calls,
+and :mod:`repro.simmpi.request` derives its blocking waits from them.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineStateError, RequestError
-from repro.simmpi.request import Request, Status
+
+if TYPE_CHECKING:  # request.py imports this module: no run-time import back
+    from repro.simmpi.request import Request, Status
 
 
 class ReadyHeap:
@@ -214,16 +218,14 @@ def info_text(info) -> str:
     """Render a block/park label that may be stored lazily.
 
     Hot paths store labels as ``(template, *args)`` tuples (args that
-    are Requests contribute their :attr:`Request.label`) or zero-argument
-    callables, and only a stall report pays for the formatting.  Plain
-    strings pass through unchanged.
+    carry a ``label``, i.e. Requests, contribute that label) or
+    zero-argument callables, and only a stall report pays for the
+    formatting.  Plain strings pass through unchanged.
     """
     if type(info) is str:
         return info
     if type(info) is tuple:
-        return info[0].format(
-            *(a.label if isinstance(a, Request) else a for a in info[1:])
-        )
+        return info[0].format(*(getattr(a, "label", a) for a in info[1:]))
     return info()
 
 
@@ -240,28 +242,40 @@ def waitany_info(pending: Sequence[Request]) -> Callable[[], str]:
 def drive_blocking(ctx, gen: Generator) -> Any:
     """Run a command-yielding generator on the calling rank's own thread.
 
-    The threaded-engine driver: each yielded command maps onto the
-    blocking primitive it abstracts, so generator mains and gate
-    programs behave exactly like hand-written blocking code when driven
-    under thread-per-rank (the differential oracle).
+    The threaded-engine driver, and with it the whole blocking MPI API:
+    each yielded command maps onto the engine's parking primitives, so
+    a ``g_*`` call driven here *is* the blocking call of the same name.
+    Parking never moves the virtual clock; a waited Request advances it
+    to the completion stamp.  Anything that is not a Park, YIELD or
+    WaitAny command is a Request, recognised by its ``completion_time``
+    (this module sits below :mod:`repro.simmpi.request`).
     """
     val = None
     try:
         while True:
             cmd = gen.send(val)
             val = None
-            if isinstance(cmd, Request):
+            tcmd = type(cmd)
+            if tcmd is Park:
+                # Gate rendezvous: the waker calls engine.make_ready.
+                ctx.engine.park_current(ctx._thread, cmd.info)
+            elif cmd is YIELD:
+                # Rejoin the ready queue at ``now`` and compete with the
+                # ranks just woken under the smallest-(clock, rank) rule.
+                ctx.engine.yield_current(ctx._thread)
+            elif tcmd is WaitAny:
+                _park_on_any(ctx, cmd.requests)
+            elif hasattr(cmd, "completion_time"):
                 if not cmd.done:
-                    ctx._block_on_request(cmd)
+                    cmd.waiter = ctx.rank
+                    ctx.engine.park_current(ctx._thread, ("waiting on {}", cmd))
+                    if not cmd.done:  # pragma: no cover - engine invariant
+                        raise EngineStateError(
+                            f"rank {ctx.rank} woken but {cmd.label} still pending"
+                        )
                 cmd._waited = True
                 ctx._advance_to(cmd.completion_time)
                 val = cmd.data
-            elif cmd is YIELD:
-                ctx._yield_baton()
-            elif type(cmd) is Park:
-                ctx._park(cmd.info)
-            elif type(cmd) is WaitAny:
-                ctx._block_on_any(cmd.requests)
             else:
                 raise EngineStateError(
                     f"generator yielded unsupported value {cmd!r} — "
@@ -269,6 +283,24 @@ def drive_blocking(ctx, gen: Generator) -> Any:
                 )
     except StopIteration as stop:
         return stop.value
+
+
+def _park_on_any(ctx, requests: Sequence[Request]) -> None:
+    """Park the rank until *any* of ``requests`` completes, then clear
+    the stale waiter marks on the still-pending siblings."""
+    pending = [r for r in requests if not r.done]
+    if not pending:
+        return
+    for r in pending:
+        r.waiter = ctx.rank
+    ctx.engine.park_current(ctx._thread, waitany_info(pending))
+    for r in pending:
+        if r.waiter == ctx.rank:
+            r.waiter = None
+    if not any(r.done for r in requests):  # pragma: no cover - engine invariant
+        raise EngineStateError(
+            f"rank {ctx.rank} woken from waitany with nothing done"
+        )
 
 
 # -- generator wait twins --------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.simmpi.api import PROC_NULL
+from repro.simmpi.sched import drive_blocking
 
 
 def row_partition(n_rows: int, p: int) -> List[int]:
@@ -41,23 +42,17 @@ def exchange_row_halos(comm, local: np.ndarray, halo_up: np.ndarray, halo_down: 
     Two ``Sendrecv`` phases (downward shift then upward shift) keep the
     pattern deadlock-free at any rank count.
     """
-    up = comm.rank - 1 if comm.rank > 0 else PROC_NULL
-    down = comm.rank + 1 if comm.rank < comm.size - 1 else PROC_NULL
-    # Shift down: my bottom row -> lower neighbour's halo_up.
-    comm.Sendrecv(local[-1], down, halo_up, up, sendtag=11, recvtag=11)
-    # Shift up: my top row -> upper neighbour's halo_down.
-    comm.Sendrecv(local[0], up, halo_down, down, sendtag=12, recvtag=12)
+    drive_blocking(comm.ctx, g_exchange_row_halos(comm, local, halo_up, halo_down))
 
 
 def g_exchange_row_halos(comm, local: np.ndarray, halo_up: np.ndarray, halo_down: np.ndarray):
-    """Generator twin of :func:`exchange_row_halos` for generator mains.
-
-    Identical message pattern via ``comm.g_Sendrecv``; use with
-    ``yield from`` inside a thread-free rank body.
-    """
+    """Generator twin of :func:`exchange_row_halos` for generator mains
+    (``yield from`` inside a thread-free rank body)."""
     up = comm.rank - 1 if comm.rank > 0 else PROC_NULL
     down = comm.rank + 1 if comm.rank < comm.size - 1 else PROC_NULL
+    # Shift down: my bottom row -> lower neighbour's halo_up.
     yield from comm.g_Sendrecv(local[-1], down, halo_up, up, sendtag=11, recvtag=11)
+    # Shift up: my top row -> upper neighbour's halo_down.
     yield from comm.g_Sendrecv(local[0], up, halo_down, down, sendtag=12, recvtag=12)
 
 

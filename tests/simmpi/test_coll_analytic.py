@@ -210,47 +210,3 @@ def test_counters_surface_in_run_result():
     assert res.sched_steps >= res.baton_handoffs > 0
     assert res.collectives_gated >= res.collectives_fast > 0
 
-
-def test_per_collective_gate(monkeypatch):
-    """``-<kind>`` entries gate single collectives off the fast path.
-
-    ``REPRO_COLL_ANALYTIC=-reduce`` keeps the path enabled overall but
-    routes reduce through the message path — the escape hatch for a
-    pattern where the analytic program would lose — bit-identically,
-    since both paths are bit-identical to begin with.
-    """
-    from repro.simmpi.coll_analytic import analytic_off_kinds
-
-    assert analytic_off_kinds("-reduce") == frozenset({"reduce"})
-    assert analytic_off_kinds("-Reduce, -gather") == frozenset(
-        {"reduce", "gather"}
-    )
-    assert analytic_off_kinds("1") == frozenset()
-    assert analytic_off_kinds("0") == frozenset()
-
-    monkeypatch.setenv(ANALYTIC_ENV, "-reduce")
-    eng = Engine(2)
-    assert eng.coll_analytic is True
-    assert eng.analytic_for("Reduce") is False  # buffer spelling
-    assert eng.analytic_for("reduce") is False  # object spelling
-    assert eng.analytic_for("Allreduce") is True
-
-    def main(ctx):
-        ctx.compute(1e-6 * (1 + ctx.rank % 3))
-        a = ctx.comm.reduce(float(ctx.rank), SUM)
-        b = ctx.comm.allreduce(ctx.rank, SUM)
-        return (a, b)
-
-    machine = nehalem_cluster(nodes=1, jitter=0.1)
-    gated = run_mpi(5, main, machine=machine, seed=2)
-    monkeypatch.setenv(ANALYTIC_ENV, "1")
-    fast = run_mpi(5, main, machine=machine, seed=2)
-    monkeypatch.setenv(ANALYTIC_ENV, "0")
-    message = run_mpi(5, main, machine=machine, seed=2)
-
-    _assert_bit_identical(fast, message)
-    _assert_bit_identical(gated, message)
-    # Only the allreduce took the fast path under the gate.
-    assert fast.collectives_fast == 2
-    assert gated.collectives_fast == 1
-    assert message.collectives_fast == 0
