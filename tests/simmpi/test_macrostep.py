@@ -27,7 +27,9 @@ import pytest
 from repro.analysis.timeresolved import intervals_from_run
 from repro.errors import SimulationStalledError
 from repro.faults.plan import FaultPlan
-from repro.machine.catalog import laptop
+from repro.machine.catalog import laptop, nehalem_cluster
+from repro.simmpi import MAX, SUM, section
+from repro.simmpi.engine import run_mpi
 from repro.workloads import registry
 
 ZOO = ("halo2d", "taskfarm", "ringpipe", "bucketsort", "sparsegraph")
@@ -167,3 +169,53 @@ def test_ineligible_workload_runs_interpreted():
     assert res.rounds_replayed == 0
     _assert_observables_identical(
         "taskfarm", res, _run("taskfarm", 17, macrostep=False))
+
+
+# -- compiled allreduce (message path) ------------------------------------------
+
+
+def _allreduce_loop(op, rounds=12):
+    """Steady 16-double ``g_Allreduce`` churn inside a section."""
+
+    def gmain(ctx):
+        acc = np.arange(16.0) + ctx.rank
+        for _ in range(rounds):
+            ctx.compute(1e-6)
+            out = np.empty_like(acc)
+            with section(ctx, "ALLREDUCE"):
+                yield from ctx.comm.g_Allreduce(acc, out, op)
+            acc = out * 0.5 + ctx.rank
+        return acc
+
+    return gmain
+
+
+@pytest.mark.parametrize("op", [SUM, MAX], ids=["sum", "max"])
+@pytest.mark.parametrize("p, fault", [
+    (16, "none"),       # power of two: the whole-invocation emulator
+    (12, "none"),       # compiled recursive doubling with the pre-fold
+    (16, "straggler"),  # compiled recursive doubling under a fault plan
+])
+def test_compiled_allreduce_bit_identical(p, fault, op):
+    """With the analytic path off, macro-step replays world allreduce
+    through its own compiled transport; it must match the interpreter."""
+    plan = FAULTS[fault]
+    runs = {}
+    for ms in (True, False):
+        runs[ms] = run_mpi(
+            p, _allreduce_loop(op),
+            machine=nehalem_cluster(nodes=-(-p // 8), jitter=0.1),
+            seed=3,
+            compute_jitter=0.04,
+            faults=FaultPlan.from_dict(plan) if plan is not None else None,
+            coll_analytic=False,
+            engine="threadfree",
+            macrostep=ms,
+        )
+    on, off = runs[True], runs[False]
+    assert on.rounds_replayed > 0
+    assert _eq(on.results, off.results)
+    assert on.clocks == off.clocks
+    assert on.walltime == off.walltime
+    assert on.network == off.network
+    assert on.section_events == off.section_events
