@@ -28,13 +28,11 @@ Each rank gets an observation phase and a replay phase:
 * **detect** — when the token stream verifies one full period
   (``tokens[n-L:n] == tokens[n-2L:n-L]``), the last ``L`` tokens
   become the rank's *round template* and per-token constants (world
-  peer, network channel, tier latency/bandwidth, jitter flag, queue
-  keys) are precomputed.
+  peer, queue keys) are precomputed.
 * **replay** — lean methods are bound on the communicator instance:
   each call checks its template entry (the structural guard) and then
-  runs the *fused* form of the interpreted path — the exact clock and
-  RNG arithmetic of ``NetworkModel.message_timing`` /
-  ``reserve_port`` / ``deliver`` plus the fabric's matching rules,
+  runs the *fused* form of the interpreted path — the network model's
+  ``draw`` / ``route`` kernels plus the fabric's matching rules,
   inlined, against the **shared** fabric queues (real
   :class:`~repro.simmpi.p2p.Envelope` / ``RecvPost`` objects, the real
   sequence counter).  ``g_Sendrecv`` consumes its recv/send pair in
@@ -78,7 +76,7 @@ import numpy as np
 from heapq import heapify, heappop, heappush
 
 from repro.simmpi.api import ANY_SOURCE, ANY_TAG, PROC_NULL
-from repro.simmpi.coll_analytic import _GateEntry, _Replay
+from repro.simmpi.coll_analytic import _GateEntry
 from repro.simmpi.collectives import _prog_allreduce
 from repro.simmpi.comm import Communicator
 from repro.simmpi.datatypes import clone_payload, deliver_into, payload_nbytes
@@ -205,9 +203,6 @@ class MacrostepController:
         self.captured = 0
         #: Deoptimization events (guard mismatch, fault fired, tail).
         self.deopts = 0
-        #: Compiled whole-invocation allreduce schedules, keyed
-        #: ``(p, nbytes)`` (see :func:`_emulate_allreduce`).
-        self.emu_plans: dict = {}
 
     def attach(self) -> None:
         """Start observing every rank's world communicator."""
@@ -355,27 +350,11 @@ def _install_observers(ctrl: MacrostepController, jit: _RankJit) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _chan_consts(net, src: int, dst: int) -> tuple:
-    """Per-channel constants: the live channel record and its tier."""
-    chan = net._chan_cache.get((src, dst))
-    if chan is None:
-        # Creating the channel record consumes no RNG draws: the
-        # factor block is refilled lazily on first use, exactly as
-        # message_timing would have.
-        chan = net._chan_cache[(src, dst)] = [
-            net.tier(src, dst), net._rng_for(src, dst), (), 0,
-        ]
-    tier = chan[0]
-    jitf = tier.jitter > 0.0 or tier.spike_prob > 0.0
-    return (dst, chan, tier.latency, tier.bandwidth, jitf, (src, dst))
-
-
 def _build_consts(engine, jit: _RankJit, template: List[tuple]):
     """Precompute per-entry constants; None if the pattern is ineligible."""
     comm = jit.comm
     me = jit.rank
-    net = engine.network
-    eager = net.machine.eager_threshold
+    eager = engine.network.machine.eager_threshold
     ranks = comm._group.ranks
     size = comm.size
     pkey = ("p", comm.cid)
@@ -390,8 +369,7 @@ def _build_consts(engine, jit: _RankJit, template: List[tuple]):
             wdst = ranks[dest]
             if wdst == me:
                 return None
-            cc = _chan_consts(net, me, wdst)
-            consts.append(cc + ((pkey, wdst),))
+            consts.append((wdst, (pkey, wdst)))
         elif kind == "R" or kind == "r":
             source = tok[1]
             if not 0 <= source < size:
@@ -405,19 +383,18 @@ def _build_consts(engine, jit: _RankJit, template: List[tuple]):
     return consts
 
 
-def _allreduce_plan(engine, me: int, p: int, opf) -> Optional[tuple]:
+def _allreduce_plan(me: int, p: int, opf) -> Optional[tuple]:
     """Compile the recursive-doubling schedule for this rank.
 
     Mirrors ``collectives._prog_allreduce`` exactly: the non-power-of-2
     prefold (even ranks donate, odd ranks fold and stand in), the
     doubling rounds with their canonical combine order, and the odd
     ranks' final result broadcast.  Returns ``(pre, rounds, post)``
-    where each communication step carries its channel constants, or
+    where each communication step names its partner world rank, or
     None when ``opf`` is untrusted.
     """
     if opf not in _PURE_OPS:
         return None
-    net = engine.network
     pof2 = 1
     while pof2 * 2 <= p:
         pof2 *= 2
@@ -427,11 +404,11 @@ def _allreduce_plan(engine, me: int, p: int, opf) -> Optional[tuple]:
         if me % 2 == 0:
             # Donate to me+1, receive the finished result back.
             return (
-                ("even", _chan_consts(net, me, me + 1), 0, ndoubling + 1),
+                ("even", me + 1, 0, ndoubling + 1),
                 (),
                 None,
             )
-        pre = ("odd", _chan_consts(net, me, me - 1), 0)
+        pre = ("odd", me - 1, 0)
         newrank = me // 2
     else:
         pre = None
@@ -444,47 +421,19 @@ def _allreduce_plan(engine, me: int, p: int, opf) -> Optional[tuple]:
         partner = (
             partner_new * 2 + 1 if partner_new < rem else partner_new + rem
         )
-        rounds.append(
-            (_chan_consts(net, me, partner), rnd, partner < me)
-        )
+        rounds.append((partner, rnd, partner < me))
         mask <<= 1
         rnd += 1
     post = None
     if pre is not None:
         # Odd prefold ranks hand the result back to their even partner.
-        post = (_chan_consts(net, me, me - 1), ndoubling + 1)
+        post = (me - 1, ndoubling + 1)
     return (pre, tuple(rounds), post)
 
 
 # ---------------------------------------------------------------------------
 # whole-invocation allreduce emulation
 # ---------------------------------------------------------------------------
-
-
-def _build_emu_plan(net, p: int, nb: int) -> tuple:
-    """Per-(p, nbytes) constants for every stage of recursive doubling.
-
-    One entry per (stage, rank): the live channel record and the
-    channel's latency / ``nbytes/bandwidth`` / jitter-flag / counter-key
-    constants — everything :func:`_emulate_allreduce`'s inner loop needs
-    without a dict lookup.  Channel records are shared with the fabric,
-    so jitter-factor streams stay in per-channel order across modes.
-    """
-    stages = []
-    mask = 1
-    while mask < p:
-        chans, latc, tr0, jitf, pairs = [], [], [], [], []
-        for q in range(p):
-            cc = _chan_consts(net, q, q ^ mask)
-            chans.append(cc[1])
-            latc.append(cc[2])
-            tr0.append(nb / cc[3])
-            jitf.append(cc[4])
-            pairs.append(cc[5])
-        stages.append((mask, chans, latc, tr0, jitf, pairs))
-        mask <<= 1
-    osnb = net.o_send + nb / net.machine.intra_node.bandwidth
-    return (len(stages), osnb, stages)
 
 
 def _emulate_allreduce(ctrl: MacrostepController, entry) -> bool:
@@ -497,15 +446,14 @@ def _emulate_allreduce(ctrl: MacrostepController, entry) -> bool:
     exact scheduling rule (smallest ``(clock, rank)``; a woken rank
     re-enters at its *block-time* clock and jumps forward on resume).
     Every simulated quantity evolves in the order the message path
-    would produce: the jitter/port/arrival arithmetic below is the
-    same expression-for-expression inline as ``_LeanComm._coll_isend``
-    / ``_complete``, sends match a posted receive by completing it at
+    would produce: each send is drawn and routed by the network model's
+    kernels, sends match a posted receive by completing it at
     ``max(arrival, post_time) + o_recv``, and combines apply in
     canonical pair order.  Returns False (caller falls back to the
     threaded per-message path) whenever any structural precondition
     fails; True means the invocation is fully resolved — results in
     ``entry.results``, every rank's real clock advanced to its final
-    value, counters flushed.
+    value, the fabric's sequence counter advanced.
     """
     eng = ctrl.engine
     if eng._faults is not None:
@@ -550,10 +498,9 @@ def _emulate_allreduce(ctrl: MacrostepController, entry) -> bool:
         if (opq.fn if type(opq) is ReduceOp else opq) is not opf:
             return False
         append(sb)
-    plan = ctrl.emu_plans.get((p, nb))
-    if plan is None:
-        plan = ctrl.emu_plans[(p, nb)] = _build_emu_plan(net, p, nb)
-    nst, osnb, stages = plan
+    # Recursive doubling: stage s pairs rank q with q ^ 2**s.
+    nst = p.bit_length() - 1
+    osnb = net.o_send + nb / net.machine.intra_node.bandwidth
     # Both combine operands are always ndarrays here, so each pure op
     # collapses to the ufunc its ndarray branch dispatches to anyway;
     # calling the ufunc directly skips a Python frame per combine.
@@ -561,18 +508,10 @@ def _emulate_allreduce(ctrl: MacrostepController, entry) -> bool:
 
     ctxs = [comms[q].ctx for q in range(p)]
     clocks = [c._clock for c in ctxs]
-    pf = net._port_free
-    ipf = net._in_port_free
-    la = net._last_arrival
-    refill = net._refill_factors
+    draw = net.draw
+    route = net.route
     o_send = net.o_send
     o_recv = net.o_recv
-    # Every rank sends on every stage, so the port frontiers for ranks
-    # 0..p-1 are all rewritten below; localizing them to flat lists for
-    # the duration of the loop leaves the dicts bit-identical to the
-    # per-message path once synced back.
-    pfl = [pf.get(q, 0.0) for q in range(p)]
-    ipfl = [ipf.get(q, 0.0) for q in range(p)]
     stg = [0] * p           # next stage per rank
     wstage = [-1] * p       # stage of an unmatched posted receive
     wrd = [0.0] * p         # completion time of a matched receive
@@ -595,46 +534,17 @@ def _emulate_allreduce(ctrl: MacrostepController, entry) -> bool:
             rd = wrd[q]
             if rd > clk:
                 clk = rd
-            if q & stages[s][0]:
+            if q & (1 << s):
                 r = opf(partial, r)
             else:
                 r = opf(r, partial)
             s += 1
         while s < nst:
-            msk, chans, latc, tr0, jitf, pairs = stages[s]
+            msk = 1 << s
             ea = env_a[s]
             dst = q ^ msk
-            # -- eager send: _LeanComm._coll_isend, expression for
-            # expression (jitter draw, out-port, in-port FIFO, channel
-            # arrival ordering, sender clock) --
-            if jitf[q]:
-                chan = chans[q]
-                fbuf = chan[2]
-                i = chan[3]
-                if i >= len(fbuf):
-                    fbuf = refill(chan)
-                    i = 0
-                chan[3] = i + 1
-                f = fbuf[i]
-                lat = latc[q] * f
-                transfer = tr0[q] * f
-            else:
-                lat = latc[q]
-                transfer = tr0[q]
-            start = pfl[q]
-            earliest = clk + o_send
-            if earliest > start:
-                start = earliest
-            pfl[q] = ser_end = start + transfer
-            window_head = ser_end - transfer + lat
-            in_start = ipfl[dst]
-            if window_head > in_start:
-                in_start = window_head
-            ipfl[dst] = in_end = in_start + transfer
-            pair = pairs[q]
-            prev = la.get(pair)
-            arrival = in_end if (prev is None or in_end >= prev) else prev
-            la[pair] = arrival
+            lat, transfer = draw(q, dst, nb)
+            arrival = route(q, dst, clk + o_send, transfer, lat)[1]
             clk = clk + osnb
             if wstage[dst] == s:
                 # The partner already posted this receive and blocked:
@@ -679,15 +589,9 @@ def _emulate_allreduce(ctrl: MacrostepController, entry) -> bool:
     for q in range(p):
         ctxs[q]._clock = clocks[q]
         entry_results[q] = results[q]
-        pf[q] = pfl[q]
-        ipf[q] = ipfl[q]
-    # Counter totals of the per-message path, flushed in one pass: one
-    # message and one matching attempt per (rank, stage), each burning
-    # a fabric sequence number.
-    msgs = p * nst
-    net.messages += msgs
-    net.bytes += msgs * nb
-    eng.fabric._seq += 2 * msgs
+    # One message and one matching attempt per (rank, stage), each
+    # burning a fabric sequence number.
+    eng.fabric._seq += 2 * p * nst
     return True
 
 
@@ -699,9 +603,10 @@ def _emulate_allreduce(ctrl: MacrostepController, entry) -> bool:
 def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
     """Bind the fused replay methods on the rank's communicator.
 
-    Every closure below is the inlined form of the interpreted path it
-    replaces; comments reference the mirrored code.  Deviating here
-    breaks bit-identity — the differential suite is the referee.
+    Every closure below is the fused form of the interpreted fabric
+    path it replaces (messages are drawn and routed by the network
+    model's kernels); comments name the fabric code each one fuses.
+    The differential suite checks bit-identity.
     """
     comm = jit.comm
     ctx = jit.ctx
@@ -711,10 +616,8 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
     net = eng.network
     sends = fabric._sends
     recvs = fabric._recvs
-    pf = net._port_free
-    ipf = net._in_port_free
-    la = net._last_arrival
-    refill = net._refill_factors
+    draw = net.draw
+    route = net.route
     o_send = net.o_send
     o_recv = net.o_recv
     eager = net.machine.eager_threshold
@@ -751,10 +654,11 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
             jit.wraps += 1
         jit.cursor = cur
 
-    def _send_eager(cc, kqs, tag: int, payload, nb: int, snap: bool = False) -> None:
-        """Fused eager ``fabric.post_send``: network arithmetic (the
-        exact expressions of ``message_timing`` / ``reserve_port`` /
-        ``deliver``), probe-aware matching, shared-store queueing.
+    def _send_eager(dst: int, kqs, tag: int, payload, nb: int,
+                    snap: bool = False) -> None:
+        """Fused eager ``fabric.post_send``: the network model's
+        ``draw`` / ``route``, probe-aware matching, shared-store
+        queueing.
 
         With ``snap`` the payload is the caller's live buffer and is
         snapshotted lazily — only at the points where it escapes this
@@ -764,45 +668,9 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
         interpreter's up-front ``clone_payload`` is pure overhead
         there; the delivered bytes are identical because no user code
         runs between the call and the inline delivery."""
-        net.messages += 1
-        net.bytes += nb
-        chan = cc[1]
-        lat = cc[2]
-        if cc[4]:
-            fbuf = chan[2]
-            i = chan[3]
-            if i >= len(fbuf):
-                fbuf = refill(chan)
-                i = 0
-            chan[3] = i + 1
-            factor = fbuf[i]
-            lat = lat * factor
-            transfer = (nb / cc[3]) * factor
-        else:
-            transfer = nb / cc[3]
+        lat, transfer = draw(me, dst, nb)
         depart = ctx._clock
-        start = depart + o_send
-        # pf[me] / ipf[dst] / la[pair] exist for every template pair:
-        # the observed capture rounds ran each of them through the
-        # fabric at least once, so plain indexing replaces .get().
-        t = pf[me]
-        if t > start:
-            start = t
-        ser_end = start + transfer
-        pf[me] = ser_end
-        dst = cc[0]
-        window_head = ser_end - transfer + lat
-        in_start = ipf[dst]
-        if window_head > in_start:
-            in_start = window_head
-        in_end = in_start + transfer
-        ipf[dst] = in_end
-        arrival = in_end + 0.0
-        sd = cc[5]
-        prev = la[sd]
-        if arrival < prev:
-            arrival = prev
-        la[sd] = arrival
+        arrival = route(me, dst, depart + o_send, transfer, lat)[1]
         # Eager: the sender is freed after the local buffering copy.
         ctx._clock = depart + (o_send + nb / intra_bw)
         seq = fabric._seq + 1
@@ -964,12 +832,12 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
         ):
             deopt(jit)
             return Communicator.Isend(comm, buf, dest, tag)
-        cc = consts[jit.cursor]
+        dst, kqs = consts[jit.cursor]
         _advance(1)
         req = Request(ctx, "send", ("Isend(dest={}, tag={})", dest, tag))
         if faults is not None:
             _poll()
-        _send_eager(cc, cc[6], tag, sb, sb.nbytes, True)
+        _send_eager(dst, kqs, tag, sb, sb.nbytes, True)
         _complete_send_req(req, tag)
         return req
 
@@ -985,12 +853,12 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
             # Re-posting through the interpreter would clone twice;
             # the clone is semantically idempotent, so reuse it.
             return Communicator.isend(comm, payload, dest, tag)
-        cc = consts[jit.cursor]
+        dst, kqs = consts[jit.cursor]
         _advance(1)
         req = Request(ctx, "send", ("isend(dest={}, tag={})", dest, tag))
         if faults is not None:
             _poll()
-        _send_eager(cc, cc[6], tag, payload, nb)
+        _send_eager(dst, kqs, tag, payload, nb)
         _complete_send_req(req, tag)
         return req
 
@@ -1123,7 +991,7 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
                 deliver_into(rbuf, d)
             if faults is not None:
                 _poll()
-            _send_eager(sc, sc[6], sendtag, sb, sb.nbytes, True)
+            _send_eager(sc[0], sc[1], sendtag, sb, sb.nbytes, True)
             if recv_done > ctx._clock:
                 ctx._clock = recv_done
             return ()
@@ -1146,7 +1014,7 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
         # Send half (snapshotted lazily inside, only if it escapes).
         if faults is not None:
             _poll()
-        _send_eager(sc, sc[6], sendtag, sb, sb.nbytes, True)
+        _send_eager(sc[0], sc[1], sendtag, sb, sb.nbytes, True)
         # Waits: g_waitall([rreq, sreq]).  The eager sreq is complete
         # at a timestamp <= now (a clock no-op) — skipped entirely.
         if pending and not rreq.done:
@@ -1170,7 +1038,7 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
         opf = op.fn if type(op) is ReduceOp else op
         plan = plans.get(opf, False)
         if plan is False:
-            plan = _allreduce_plan(eng, me, p, opf)
+            plan = _allreduce_plan(me, p, opf)
             plans[opf] = plan
         if plan is None:
             # Untrusted reduce op: interpret this invocation; the
@@ -1211,19 +1079,8 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
                 np.asarray(recvbuf)[...] = result
                 return None
         else:
-            # Last arrival resolves the invocation.  The analytic
-            # branch is normally unreachable — the binding policy keeps
-            # this method off when the analytic path is on — but kept
-            # for correctness under config drift.
-            if eng.coll_analytic and faults is None:
-                entry.mode = "fast"
-                _Replay(entry).run()
-                gate.fast += 1
-                gate._wake_others(entry, me)
-                yield YIELD
-                result = gate._finish_fast(entry, me)
-                np.asarray(recvbuf)[...] = result
-                return None
+            # Last arrival resolves the invocation (this method is bound
+            # only when the analytic path would not replay it).
             if _emulate_allreduce(ctrl, entry):
                 # Whole-invocation flat replay: results and final
                 # clocks are already in place, so the parked ranks
@@ -1246,35 +1103,35 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
         result = sb
         pre, rounds, post_send_c = plan
 
-        def _lsend(cc, tag, payload):
+        def _lsend(dst, tag, payload):
             # Returns the pending rndv request, or None for eager
             # (whose completed-request yield is a clock no-op).
             nb = payload.nbytes
             if nb > eager:
                 srq = Request(ctx, "send", "macrostep coll send")
-                fabric.post_send(ctx, ckey, cc[0], tag, payload, nb, srq)
+                fabric.post_send(ctx, ckey, dst, tag, payload, nb, srq)
                 if not srq.done:
                     ctx._advance(o_send)
                     return srq
                 return None
             if faults is not None:
                 _poll()
-            _send_eager(cc, (ckey, cc[0]), tag, payload, nb)
+            _send_eager(dst, (ckey, dst), tag, payload, nb)
             return None
 
-        def _lrecv_try(cc, tag):
+        def _lrecv_try(src, tag):
             # Inline-complete a matched receive; None means pending
             # (the caller must post `pooled` and yield it).
             if faults is not None:
                 _poll()
-            best, seq = _recv_match((ckey, me), cc[0], tag)
+            best, seq = _recv_match((ckey, me), src, tag)
             if best is None:
                 r = pooled
                 r.done = False
                 r._waited = False
                 r.data = None
                 r.waiter = None
-                post = RecvPost(me, ckey, cc[0], tag, None, ctx._clock,
+                post = RecvPost(me, ckey, src, tag, None, ctx._clock,
                                 r, seq)
                 kqr = (ckey, me)
                 q = recvs.get(kqr)
@@ -1289,7 +1146,7 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
                 r._waited = False
                 r.data = None
                 r.waiter = None
-                post = RecvPost(me, ckey, cc[0], tag, None, ctx._clock,
+                post = RecvPost(me, ckey, src, tag, None, ctx._clock,
                                 r, seq)
                 fabric._complete_pair(best, post)
                 ct = r.completion_time
@@ -1305,11 +1162,11 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
 
         if pre is not None:
             if pre[0] == "even":
-                _, cc, stag, rtag = pre
-                srq = _lsend(cc, stag, result)
+                _, peer, stag, rtag = pre
+                srq = _lsend(peer, stag, result)
                 if srq is not None:
                     yield srq
-                got = _lrecv_try(cc, rtag)
+                got = _lrecv_try(peer, rtag)
                 if got is None:
                     result = yield pooled
                 else:
@@ -1319,16 +1176,16 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
                 rounds = ()
                 post_send_c = None
             else:
-                _, cc, rtag = pre
-                got = _lrecv_try(cc, rtag)
+                _, peer, rtag = pre
+                got = _lrecv_try(peer, rtag)
                 if got is None:
                     partial = yield pooled
                 else:
                     partial = got[0]
                 result = opf(partial, result)
-        for cc, tag, partner_first in rounds:
-            srq = _lsend(cc, tag, result)
-            got = _lrecv_try(cc, tag)
+        for peer, tag, partner_first in rounds:
+            srq = _lsend(peer, tag, result)
+            got = _lrecv_try(peer, tag)
             if got is None:
                 partial = yield pooled
             else:
@@ -1340,8 +1197,8 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
             else:
                 result = opf(result, partial)
         if post_send_c is not None:
-            cc, tag = post_send_c
-            srq = _lsend(cc, tag, result)
+            peer, tag = post_send_c
+            srq = _lsend(peer, tag, result)
             if srq is not None:
                 yield srq
         # --- exit gate (CollectiveGate._g_run_threaded tail, inlined) ---

@@ -213,11 +213,9 @@ class MessageFabric:
         else:
             # The payload is serialised through the sender's port (LogGP
             # gap), so consecutive sends from one rank queue up.
-            ser_end = self.network.reserve_port(
-                src, depart + timing.send_overhead, timing.transfer
-            )
-            arrival = self.network.deliver(
-                src, dst, ser_end, timing.transfer, timing.latency
+            _, arrival = self.network.route(
+                src, dst, depart + timing.send_overhead, timing.transfer,
+                timing.latency,
             )
             # Eager: the sender is free once the message is buffered; the
             # buffering memcpy is charged to the sender's clock.
@@ -347,9 +345,8 @@ class MessageFabric:
             # Transfer starts once both sides are ready, then serialises
             # through the sender's port before the propagation delay.
             t_start = max(env.depart, post.post_time)
-            ser_end = self.network.reserve_port(env.src, t_start, env.transfer)
-            arrival = self.network.deliver(
-                env.src, env.dst, ser_end, env.transfer, env.latency
+            ser_end, arrival = self.network.route(
+                env.src, env.dst, t_start, env.transfer, env.latency
             )
             if env.send_req is not None and not env.send_req.done:
                 env.send_req.complete(ser_end, source=env.src, tag=env.tag)
