@@ -7,10 +7,10 @@ The model is LogGP-flavoured:
 * wire time ``L + n/B`` from the :class:`~repro.machine.spec.NetworkTier`
   connecting the two ranks (intra-node vs inter-node);
 * a multiplicative log-normal jitter term per message, drawn from a
-  per-channel seeded RNG so that runs are bit-reproducible and the noise
-  a message experiences does not depend on unrelated traffic (factors
-  are pre-drawn in fixed-size blocks per channel — a pure amortisation
-  of RNG-call overhead, consumed one per message);
+  per-channel seeded stream so that runs are bit-reproducible and the
+  noise a message experiences does not depend on unrelated traffic
+  (factors are pre-drawn in fixed-size blocks per channel — a pure
+  amortisation of RNG-call overhead, consumed one per message);
 * FIFO arrival: each rank's inbound port streams messages in one at a
   time, in routing order, so arrival times on every (src → dst) channel
   are monotone — the non-overtaking guarantee of MPI.
@@ -21,13 +21,39 @@ and :meth:`NetworkModel.route` (port serialisation and arrival).
 Every transport — the message fabric, the collective replay and
 macro-step — calls them rather than touching the state directly.
 
+Channel streams
+---------------
+The ``src -> dst`` jitter stream is, by definition, NumPy's
+``PCG64(SeedSequence(entropy=seed, spawn_key=(src + 1, dst + 1)))``.
+Building that object costs tens of microseconds, and an all-to-all at
+p ranks opens p·(p−1) channels that mostly carry one message each, so
+the model never builds it.  Instead :meth:`NetworkModel._channel_seed`
+derives the stream's initial PCG64 ``(state, inc)`` in integer
+arithmetic: the SeedSequence hash (fixed by NEP 19) over the entropy
+words ``[seed words padded to 4, src + 1, dst + 1]``, then
+``generate_state(4, uint64)`` and PCG64's set-seq seeding.  The hash
+constants advance independently of the data and the seed words come
+first, so the seed's part of the pool is mixed once per model and the
+``src + 1`` absorption once per source rank; a channel pays for the
+``dst + 1`` absorption and the output hash only.
+
+Each model owns a single PCG64 bit generator.  To draw a channel's next
+block of factors, the channel's saved state is swapped into it, the
+block is drawn exactly as from a dedicated generator, and the advanced
+state is saved back in the channel record.  Every channel's stream is
+therefore bit-for-bit the one its own SeedSequence-seeded generator
+would produce, consumed in the same blocks, while a channel costs a few
+Python integers instead of NumPy objects, and all of it is freed with
+the model.
+
 The accumulated jitter over many halo exchanges is what reproduces the
 noisy, rising HALO totals of Figure 5(b) in the paper.
 """
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Tuple
+import operator
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -39,11 +65,116 @@ from repro.machine.spec import MachineSpec, NetworkTier
 #: must never vary with workload or transport.
 _FACTOR_BLOCK = 32
 
-#: (seed, src, dst) -> initial PCG64 state.  SeedSequence derivation is
-#: a pure function of these inputs, so the state is shared process-wide
-#: across runs (each run still gets its own Generator and therefore its
-#: own stream position).  A few hundred bytes per channel ever touched.
-_channel_state_cache: Dict[Tuple[int, int, int], dict] = {}
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx, NEP 19).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+
+#: PCG64's 128-bit LCG multiplier.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+#: ``(xor, mul)`` hash constants, one pair per hash call.
+_Consts = List[Tuple[int, int]]
+
+
+def _hash_consts(init: int, mult: int, n: int) -> _Consts:
+    """``(xor, mul)`` pairs of the first ``n`` calls of a SeedSequence hash.
+
+    The hash constant advances by one multiplication per call whatever
+    the data, so the constants of every call can be computed up front.
+    """
+    consts = []
+    h = init
+    for _ in range(n):
+        nxt = (h * mult) & _MASK32
+        consts.append((h, nxt))
+        h = nxt
+    return consts
+
+
+def _hashmix(value: int, xor: int, mul: int) -> int:
+    value = ((value ^ xor) * mul) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _absorb(pool: List[int], word: int, consts: _Consts) -> List[int]:
+    """Mix one entropy word beyond the pool size into every pool word.
+
+    ``_mix(x, _hashmix(word, xor, mul))`` per pool word, written out
+    because it runs once per channel.
+    """
+    if not 0 <= word <= _MASK32:
+        raise ValueError(
+            f"channel rank word {word} does not fit in 32 bits; SeedSequence "
+            "would split it into several words, which this derivation does "
+            "not model")
+    out = []
+    for x, (xor, mul) in zip(pool, consts):
+        h = ((word ^ xor) * mul) & _MASK32
+        r = (_MIX_MULT_L * x - _MIX_MULT_R * (h ^ (h >> 16))) & _MASK32
+        out.append(r ^ (r >> 16))
+    return out
+
+
+def _mix_seed(seed: int) -> Tuple[List[int], _Consts, _Consts]:
+    """Pool after the seed words, plus the constants of the two rank words.
+
+    Returns ``(pool, src_consts, dst_consts)``: SeedSequence's pool once
+    every word of ``seed`` (padded with zeros to the pool size, as it is
+    whenever a spawn key follows) has been mixed in, and the ``(xor,
+    mul)`` pairs with which ``src + 1`` and then ``dst + 1`` are absorbed.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"network seed must be non-negative, got {seed}")
+    words = [seed >> shift & _MASK32
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    n_calls = _POOL_SIZE * len(words) + 2 * _POOL_SIZE
+    calls = iter(_hash_consts(_INIT_A, _MULT_A, n_calls))
+    pool = [_hashmix(w, *next(calls)) for w in words[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst],
+                                   _hashmix(pool[i_src], *next(calls)))
+    for w in words[_POOL_SIZE:]:
+        pool = _absorb(pool, w, [next(calls) for _ in range(_POOL_SIZE)])
+    rank_consts = list(calls)
+    return pool, rank_consts[:_POOL_SIZE], rank_consts[_POOL_SIZE:]
+
+
+#: ``generate_state(4, uint64)`` reads the pool cyclically into 8 words.
+_OUT_CONSTS = tuple(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+
+
+def _pcg64_seed(pool: List[int]) -> Tuple[int, int]:
+    """PCG64 ``(state, inc)`` seeded from a final SeedSequence pool.
+
+    ``generate_state(4, uint64)`` (little-endian pairs of 32-bit words)
+    followed by PCG64's set-seq seeding: ``inc = initseq << 1 | 1``, then
+    one LCG step from zero, add ``initstate``, one more step.
+    """
+    w = []
+    for x, (xor, mul) in zip(pool + pool, _OUT_CONSTS):
+        v = ((x ^ xor) * mul) & _MASK32
+        w.append(v ^ (v >> 16))
+    initstate = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+    initseq = (w[4] | w[5] << 32) << 64 | w[6] | w[7] << 32
+    inc = (initseq << 1 | 1) & _MASK128
+    return ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc
 
 
 class MessageTiming(NamedTuple):
@@ -108,14 +239,17 @@ class NetworkModel:
         self.o_send = o_send
         self.o_recv = o_recv
         self.faults = faults
-        # Placement never changes after construction, so the tier of a
-        # channel is a pure function of (src, dst) — memoised because
-        # message_timing resolves it for every single message.
-        self._tier_cache: Dict[Tuple[int, int], NetworkTier] = {}
-        # [tier, rng, factor_block, next_index] per channel: one dict
-        # probe on the draw hot path instead of two, plus the channel's
+        # [tier, pcg_state, pcg_inc, factor_block, next_index] per
+        # channel: one dict probe on the draw hot path, the channel's
+        # jitter-stream position (derived on its first refill) and its
         # buffered jitter factors (see _refill_factors).
         self._chan_cache: Dict[Tuple[int, int], list] = {}
+        self._seed_pool, self._src_consts, self._dst_consts = _mix_seed(seed)
+        #: src -> SeedSequence pool after the ``src + 1`` word.
+        self._src_pools: Dict[int, List[int]] = {}
+        #: The one bit generator every channel's stream is drawn through.
+        self._bitgen = np.random.PCG64(0)
+        self._stream_rng = np.random.Generator(self._bitgen)
         #: Per-rank time at which the outgoing port is next free.
         self._port_free: Dict[int, float] = {}
         #: Per-rank time at which the incoming port is next free.
@@ -125,54 +259,53 @@ class NetworkModel:
 
     # -- internals -----------------------------------------------------------
 
-    def _rng_for(self, src: int, dst: int) -> np.random.Generator:
-        """A fresh jitter stream for the ``src -> dst`` channel."""
-        # Deriving a stream through SeedSequence hashing costs tens of
-        # microseconds; at p ranks a run touches O(p log p) channels,
-        # every run, for the identical (seed, src, dst) inputs.  Memoise
-        # the derived initial PCG64 state process-wide and restore it
-        # into a fresh bit generator — the stream is bit-for-bit the one
-        # SeedSequence would produce, at less than half the setup cost.
-        skey = (self.seed, src, dst)
-        state = _channel_state_cache.get(skey)
-        if state is None:
-            bg = np.random.PCG64(np.random.SeedSequence(
-                entropy=self.seed, spawn_key=(src + 1, dst + 1)))
-            _channel_state_cache[skey] = bg.state
-        else:
-            bg = np.random.PCG64(0)
-            bg.state = state
-        return np.random.Generator(bg)
+    def _channel_seed(self, src: int, dst: int) -> Tuple[int, int]:
+        """Initial PCG64 ``(state, inc)`` of the ``src -> dst`` jitter stream.
+
+        Equal to ``PCG64(SeedSequence(entropy=seed, spawn_key=(src + 1,
+        dst + 1))).state`` (see the module docstring).
+        """
+        pool = self._src_pools.get(src)
+        if pool is None:
+            pool = self._src_pools[src] = _absorb(
+                self._seed_pool, src + 1, self._src_consts)
+        return _pcg64_seed(_absorb(pool, dst + 1, self._dst_consts))
 
     def tier(self, src: int, dst: int) -> NetworkTier:
         """Tier connecting two ranks under the configured placement."""
-        key = (src, dst)
-        tier = self._tier_cache.get(key)
-        if tier is None:
-            tier = self.machine.tier_between(src, dst, self.ranks_per_node)
-            self._tier_cache[key] = tier
-        return tier
+        return self.machine.tier_between(src, dst, self.ranks_per_node)
 
-    def _refill_factors(self, chan: list) -> list:
+    def _refill_factors(self, chan: list, src: int, dst: int) -> list:
         """Draw the next block of jitter factors for one channel.
 
         One factor is consumed per message; drawing them in blocks of
         ``_FACTOR_BLOCK`` amortises the RNG-call overhead over the whole
         block while staying bit-reproducible: for a given seed the
         channel's stream is consumed identically no matter which
-        transport draws the message.
+        transport draws the message.  The block is drawn through the
+        model's one bit generator with the channel's state swapped in;
+        ``normal`` and ``random`` consume whole 64-bit outputs, so
+        ``(state, inc)`` is the stream's entire position.
         """
-        tier, rng = chan[0], chan[1]
+        if chan[1] is None:
+            chan[1], chan[2] = self._channel_seed(src, dst)
+        bitgen, rng = self._bitgen, self._stream_rng
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": chan[1], "inc": chan[2]},
+                        "has_uint32": 0, "uinteger": 0}
+        tier = chan[0]
         if tier.jitter > 0.0:
             factors = np.exp(rng.normal(0.0, tier.jitter, _FACTOR_BLOCK))
         else:
             factors = np.ones(_FACTOR_BLOCK)
         if tier.spike_prob > 0.0:
-            spiked = rng.random(_FACTOR_BLOCK) < tier.spike_prob
-            if spiked.any():
-                factors = np.where(spiked, factors * tier.spike_scale, factors)
-        buf = chan[2] = factors.tolist()
-        chan[3] = 0
+            u = rng.random(_FACTOR_BLOCK)
+            if u.min() < tier.spike_prob:
+                factors = np.where(u < tier.spike_prob,
+                                   factors * tier.spike_scale, factors)
+        chan[1] = bitgen.state["state"]["state"]
+        buf = chan[3] = factors.tolist()
+        chan[4] = 0
         return buf
 
     # -- public API ------------------------------------------------------------
@@ -194,7 +327,7 @@ class NetworkModel:
         chan = self._chan_cache.get(key)
         if chan is None:
             chan = self._chan_cache[key] = [
-                self.tier(src, dst), self._rng_for(src, dst), (), 0,
+                self.tier(src, dst), None, 0, (), 0,
             ]
         tier = chan[0]
         lat, bw = tier.latency, tier.bandwidth
@@ -203,12 +336,12 @@ class NetworkModel:
             lat *= lat_mult
             bw *= bw_mult
         if tier.jitter > 0.0 or tier.spike_prob > 0.0:
-            buf = chan[2]
-            i = chan[3]
+            buf = chan[3]
+            i = chan[4]
             if i >= len(buf):
-                buf = self._refill_factors(chan)
+                buf = self._refill_factors(chan, src, dst)
                 i = 0
-            chan[3] = i + 1
+            chan[4] = i + 1
             factor = buf[i]
             return lat * factor, (nbytes / bw) * factor
         return lat, nbytes / bw

@@ -1,0 +1,156 @@
+"""Channel jitter streams: closed-form seeding and the shared bit generator.
+
+Every ``src -> dst`` channel's jitter stream is defined as NumPy's
+``PCG64(SeedSequence(entropy=seed, spawn_key=(src + 1, dst + 1)))``,
+consumed in blocks of ``_FACTOR_BLOCK`` factors.  The network model
+derives the initial state in integer arithmetic and draws every channel
+through one bit generator; these tests pin both against NumPy itself.
+"""
+
+import dataclasses
+import gc
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.machine.catalog import laptop, nehalem_cluster
+from repro.machine.spec import NetworkTier
+from repro.simmpi import network
+from repro.simmpi.network import _FACTOR_BLOCK, NetworkModel
+
+
+def numpy_stream(seed, src, dst):
+    return np.random.PCG64(np.random.SeedSequence(
+        entropy=seed, spawn_key=(src + 1, dst + 1)))
+
+
+def numpy_state(seed, src, dst):
+    state = numpy_stream(seed, src, dst).state["state"]
+    return state["state"], state["inc"]
+
+
+def reference_factors(seed, src, dst, tier, n):
+    """The first ``n`` factors of a channel, drawn from its own Generator."""
+    rng = np.random.Generator(numpy_stream(seed, src, dst))
+    factors = []
+    while len(factors) < n:
+        if tier.jitter > 0.0:
+            block = np.exp(rng.normal(0.0, tier.jitter, _FACTOR_BLOCK))
+        else:
+            block = np.ones(_FACTOR_BLOCK)
+        if tier.spike_prob > 0.0:
+            spiked = rng.random(_FACTOR_BLOCK) < tier.spike_prob
+            block = np.where(spiked, block * tier.spike_scale, block)
+        factors.extend(block.tolist())
+    return factors[:n]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**160), src=st.integers(0, 2**20),
+       dst=st.integers(0, 2**20))
+@example(seed=0, src=0, dst=1)
+@example(seed=2**32 - 1, src=3, dst=2)
+@example(seed=2**32, src=3, dst=2)
+@example(seed=2**128 - 1, src=1, dst=0)
+@example(seed=2**128, src=1, dst=0)
+@example(seed=2**160 - 1, src=7, dst=7)
+def test_closed_form_matches_seedsequence(seed, src, dst):
+    model = NetworkModel(laptop(2), seed=seed)
+    assert model._channel_seed(src, dst) == numpy_state(seed, src, dst)
+
+
+@pytest.mark.parametrize("src,dst", [
+    (2**32 - 2, 0), (0, 2**32 - 2), (2**32 - 2, 2**32 - 2)])
+@pytest.mark.parametrize("seed", [0, 5, 2**140 + 3])
+def test_closed_form_at_widest_rank_word(seed, src, dst):
+    model = NetworkModel(laptop(2), seed=seed)
+    assert model._channel_seed(src, dst) == numpy_state(seed, src, dst)
+
+
+@pytest.mark.parametrize("src,dst", [(2**32 - 1, 0), (0, 2**32 - 1)])
+def test_rank_word_wider_than_32_bits_raises(src, dst):
+    model = NetworkModel(nehalem_cluster(nodes=2, jitter=0.1), seed=1)
+    with pytest.raises(ValueError, match="does not fit in 32 bits"):
+        model.draw(src, dst, 8)
+
+
+def test_negative_seed_raises():
+    with pytest.raises(ValueError, match="non-negative"):
+        NetworkModel(laptop(2), seed=-1)
+
+
+TIERS = {
+    "jitter+spike": NetworkTier(latency=1e-6, bandwidth=1e9, jitter=0.2,
+                                spike_prob=0.1, spike_scale=50.0),
+    "jitter": NetworkTier(latency=1e-6, bandwidth=1e9, jitter=0.2),
+    "spike": NetworkTier(latency=1e-6, bandwidth=1e9, spike_prob=0.3,
+                         spike_scale=50.0),
+}
+CHANNELS = [(0, 1), (1, 0), (2, 3), (3, 1), (1, 2)]
+#: More than three blocks per channel.
+PER_CHANNEL = 3 * _FACTOR_BLOCK + 7
+
+
+def interleaved_order(seed):
+    order = [c for c in CHANNELS for _ in range(PER_CHANNEL)]
+    random.Random(seed).shuffle(order)
+    return order
+
+
+def machine_with(tier):
+    return dataclasses.replace(laptop(8), intra_node=tier)
+
+
+@pytest.mark.parametrize("shape", sorted(TIERS))
+def test_shared_generator_matches_per_channel_generators(shape):
+    tier = TIERS[shape]
+    model = NetworkModel(machine_with(tier), seed=9)
+    drawn = {c: [] for c in CHANNELS}
+    for src, dst in interleaved_order(shape):
+        latency, _ = model.draw(src, dst, 100)
+        drawn[(src, dst)].append(latency)
+    for src, dst in CHANNELS:
+        expected = [tier.latency * f for f in
+                    reference_factors(9, src, dst, tier, PER_CHANNEL)]
+        assert drawn[(src, dst)] == expected, (shape, src, dst)
+        assert len(set(expected)) > 1
+
+
+def test_two_live_models_do_not_disturb_each_other():
+    tier = TIERS["jitter+spike"]
+    mach = machine_with(tier)
+    models = {11: NetworkModel(mach, seed=11), 12: NetworkModel(mach, seed=12)}
+    drawn = {(seed, c): [] for seed in models for c in CHANNELS}
+    for src, dst in interleaved_order(0):
+        for seed, model in models.items():
+            drawn[(seed, (src, dst))].append(model.draw(src, dst, 100)[0])
+    for (seed, (src, dst)), got in drawn.items():
+        expected = [tier.latency * f for f in
+                    reference_factors(seed, src, dst, tier, PER_CHANNEL)]
+        assert got == expected, (seed, src, dst)
+
+
+def test_channel_state_is_freed_with_the_model():
+    mach = nehalem_cluster(nodes=4, jitter=0.1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        models = [NetworkModel(mach, seed=seed) for seed in (3, 4)]
+        for model in models:
+            for src in range(18):
+                for dst in range(18):
+                    if src != dst:
+                        model.draw(src, dst, 64)
+        assert len(models[0]._chan_cache) == 18 * 17
+        del model, models
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    alive = snapshot.filter_traces(
+        [tracemalloc.Filter(True, network.__file__)]).statistics("lineno")
+    assert alive == []
