@@ -471,18 +471,24 @@ class WorkerSupervisor:
                 if h.busy:
                     deadline = h.job.deadline_at()
                     if deadline is not None and now > deadline:
+                        job = h.job
                         self._kill_worker(h, f"deadline exceeded after "
-                                             f"{h.job.spec.deadline:.3g}s")
-                        self._handles[i] = self._replace(h, requeue=False)
+                                             f"{job.spec.deadline:.3g}s")
+                        self._handles[i] = self._replace(h, error={
+                            "error_type": "DeadlineExceeded",
+                            "message": f"job exceeded its "
+                                       f"{job.spec.deadline:.6g}s deadline "
+                                       "and was terminated",
+                        })
                         continue
                     if now - h.last_beat > self.heartbeat_timeout:
                         self._kill_worker(
                             h, f"no heartbeat for {self.heartbeat_timeout}s")
-                        self._handles[i] = self._replace(h, requeue=True)
+                        self._handles[i] = self._replace(h)
                 continue
             # Process gone: SIGKILL, segfault, OOM — or clean exit.
             if h.busy or not self._draining.is_set():
-                self._handles[i] = self._replace(h, requeue=True)
+                self._handles[i] = self._replace(h)
 
     def _kill_worker(self, h: _WorkerHandle, why: str) -> None:
         logger.warning("killing worker %d (pid %s): %s",
@@ -492,25 +498,27 @@ class WorkerSupervisor:
         except (OSError, AttributeError):
             pass
         h.process.join(timeout=5)
-        if h.job is not None and "deadline" in why:
-            job, h.job = h.job, None
-            self._finish(job, error={
-                "error_type": "DeadlineExceeded",
-                "message": f"job exceeded its {job.spec.deadline:.6g}s "
-                           "deadline and was terminated",
-            })
 
-    def _replace(self, h: _WorkerHandle, *, requeue: bool) -> _WorkerHandle:
-        """Respawn a dead worker; requeue or poison its victim job."""
+    def _replace(self, h: _WorkerHandle, *,
+                 error: Optional[dict] = None) -> _WorkerHandle:
+        """Respawn a dead worker; fail its victim job with ``error``, or
+        else requeue (or poison) it.
+
+        The restart is counted before the victim's terminal record is
+        published, so a client woken by that record already sees it.
+        """
         h.process.join(timeout=5)
         try:
             h.conn.close()
         except OSError:
             pass
         victim, h.job = h.job, None
-        if victim is not None and requeue:
-            self._requeue_victim(victim)
         self.metrics.inc("worker_restarts")
+        if victim is not None:
+            if error is not None:
+                self._finish(victim, error=error)
+            else:
+                self._requeue_victim(victim)
         replacement = self._spawn()
         logger.warning(
             "worker %d (pid %s, exit %s) replaced by worker %d (pid %s)",

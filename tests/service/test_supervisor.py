@@ -139,6 +139,32 @@ def test_supervisor_fails_deadline_expired_queued_job(tmp_path):
         app.close()
 
 
+def test_running_job_past_deadline_is_killed_after_counting_restart(tmp_path):
+    app = ServiceApp(cache_dir=tmp_path / "cache", workers=1,
+                     worker_mode="process")
+    app.start()
+    try:
+        # A finished job first, so the worker is up when the slow one
+        # arrives and the deadline expires while it runs, not queued.
+        _, warm = _submit(app, tiny_conv_spec(base_seed=21))
+        assert _wait_done(app, warm["job_id"]) == "done"
+        # Many short points: each run stays far inside the engine
+        # watchdog, so only the supervisor's deadline can end the job.
+        _, receipt = _submit(app, tiny_conv_spec(base_seed=22, reps=400,
+                                                 deadline=1.0))
+        key = receipt["job_id"]
+        assert _wait_done(app, key) == "failed"
+        # Counted before the terminal record was published.
+        assert app.metrics.counter("worker_restarts") == 1
+        record = app.registry.get(key)
+        assert record["error"]["error_type"] == "DeadlineExceeded"
+        assert "terminated" in record["error"]["message"]
+        _, receipt2 = _submit(app, tiny_conv_spec(base_seed=23))
+        assert _wait_done(app, receipt2["job_id"]) == "done"
+    finally:
+        app.close()
+
+
 def test_deadline_tightens_the_engine_watchdog():
     spec = parse_job_spec(tiny_conv_spec(wall_timeout=60.0, deadline=5.0))
     assert spec.effective_wall_timeout() == 5.0
