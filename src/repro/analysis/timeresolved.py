@@ -267,16 +267,32 @@ def _adaptive_edges(record: Dict[str, Any]) -> List[float]:
     return edges
 
 
-def _overlap(intervals: List[List[float]], a: float, b: float) -> float:
-    total = 0.0
-    for t0, t1 in intervals:
-        if t0 >= b:
-            break
-        lo = t0 if t0 > a else a
-        hi = t1 if t1 < b else b
-        if hi > lo:
-            total += hi - lo
-    return total
+def _binned(intervals: List[List[float]], edges: List[float]) -> List[float]:
+    """Overlap of chronological ``intervals`` with each window of ``edges``.
+
+    Window k is ``[edges[k], edges[k+1]]``; edges never decrease.  A
+    cursor skips the leading intervals that end at or before the current
+    window start — they add nothing to it or to any later window — so
+    the scan is linear in intervals plus windows, and each window sums
+    the same terms in the same order as a scan from index 0 would.
+    """
+    out: List[float] = []
+    n = len(intervals)
+    start = 0
+    for a, b in zip(edges, edges[1:]):
+        while start < n and intervals[start][1] <= a:
+            start += 1
+        total = 0.0
+        for i in range(start, n):
+            t0, t1 = intervals[i]
+            if t0 >= b:
+                break
+            lo = t0 if t0 > a else a
+            hi = t1 if t1 < b else b
+            if hi > lo:
+                total += hi - lo
+        out.append(total)
+    return out
 
 
 def timeline_from_intervals(
@@ -312,8 +328,10 @@ def timeline_from_intervals(
         edges = _adaptive_edges(record)
 
     ranks = [str(r) for r in range(n_ranks)]
+    busy = [_binned(record["busy"][r], edges) for r in ranks]
+    comm = [_binned(record["comm"][r], edges) for r in ranks]
     rows: List[Dict[str, Any]] = []
-    for a, b in zip(edges, edges[1:]):
+    for k, (a, b) in enumerate(zip(edges, edges[1:])):
         w = b - a
         row: Dict[str, Any] = {"t0": a, "t1": b}
         if w <= 0:
@@ -324,13 +342,8 @@ def timeline_from_intervals(
                        serialization_efficiency=None)
             rows.append(row)
             continue
-        useful: List[float] = []
-        comm_t: List[float] = []
-        for r in ranks:
-            busy_r = _overlap(record["busy"][r], a, b)
-            comm_r = _overlap(record["comm"][r], a, b)
-            useful.append(busy_r - comm_r)
-            comm_t.append(comm_r)
+        comm_t = [comm_r[k] for comm_r in comm]
+        useful = [busy_r[k] - comm_t[i] for i, busy_r in enumerate(busy)]
         mean_useful = sum(useful) / n_ranks
         max_useful = max(useful)
         mean_comm = sum(comm_t) / n_ranks
@@ -349,10 +362,11 @@ def timeline_from_intervals(
 
     sections: Dict[str, List[Dict[str, Any]]] = {}
     for label, per_rank in record["labels"].items():
+        binned = [_binned(per_rank.get(r, []), edges) for r in ranks]
         out_rows = []
-        for a, b in zip(edges, edges[1:]):
+        for k, (a, b) in enumerate(zip(edges, edges[1:])):
             w = b - a
-            times = [_overlap(per_rank.get(r, []), a, b) for r in ranks]
+            times = [times_r[k] for times_r in binned]
             mean_t = sum(times) / n_ranks
             max_t = max(times)
             out_rows.append({

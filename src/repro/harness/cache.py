@@ -11,11 +11,20 @@ skip the simulation for every point it has already executed.
 
 Keys are SHA-256 digests of a canonical JSON rendering of the run
 inputs plus a cache schema version (bumped whenever the stored payload
-or the simulation semantics change, invalidating old entries wholesale).
-Payloads are JSON envelopes carrying the exported profile (via
+or the simulation semantics change, which leaves old entries
+unreachable).  Payloads carry the exported profile (via
 :mod:`repro.core.export`, which round-trips floats exactly) plus
 whatever side-band values the runner needs (progress line, energy
 drift), so a cache hit is indistinguishable from a fresh run.
+
+Every file is a checksummed envelope ``{..., "checksum", "payload"}``
+written by :func:`write_envelope` and verified by
+:func:`read_envelope`, the one store format shared with the service's
+experiment registry.  The payload is serialised once and its SHA-256 is
+taken over exactly the bytes written; ``payload`` is the envelope's
+last key, so a reader locates that byte slice and hashes it as read.
+A warm hit therefore pays for one ``json.loads`` and one hash, never a
+re-serialisation of the payload.
 
 The cache directory defaults to ``~/.cache/repro/runs`` and is
 overridden by the ``REPRO_CACHE_DIR`` environment variable.  Runners
@@ -32,7 +41,7 @@ import logging
 import os
 import pathlib
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
 
@@ -48,8 +57,10 @@ logger = logging.getLogger(__name__)
 #: v4: scenario point payloads additionally carry the compact interval
 #: record (:data:`repro.analysis.INTERVALS_SCHEMA`) behind the
 #: time-resolved efficiency timelines, so warm sweeps can answer any
-#: window configuration with zero simulations.
-CACHE_SCHEMA_VERSION = 4
+#: window configuration with zero simulations.  v5: the checksum covers
+#: the payload bytes as written (:func:`write_envelope`), not a
+#: ``sort_keys`` re-rendering.
+CACHE_SCHEMA_VERSION = 5
 
 #: Environment variable overriding the cache directory (and opting the
 #: runners into caching by default).
@@ -98,20 +109,84 @@ def run_key(**fields: Any) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _payload_checksum(payload: Dict[str, Any]) -> str:
-    """SHA-256 over the canonical JSON rendering of a stored payload."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+class CorruptEntry(Exception):
+    """A stored file is not a verified envelope; the message says why."""
+
+
+def _envelope_head(header: Dict[str, Any]) -> bytes:
+    """Envelope bytes preceding the payload: ``{<header>,"payload":``."""
+    text = json.dumps(header, separators=(",", ":"))
+    return (text[:-1] + ',"payload":').encode("ascii")
+
+
+def write_envelope(path: pathlib.Path, payload: Any, **header: Any) -> None:
+    """Atomically store ``payload`` in a checksummed envelope at ``path``.
+
+    The payload is serialised once; ``checksum`` is the SHA-256 of those
+    bytes, which the envelope wraps verbatim as its last key after the
+    ``header`` fields.  Last write wins.
+    """
+    body = json.dumps(payload, separators=(",", ":")).encode("ascii")
+    head = _envelope_head(
+        dict(header, checksum=hashlib.sha256(body).hexdigest()))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # pid AND thread id: service worker threads sharing one store may
+    # write the same key concurrently, and the loser's os.replace must
+    # not find its tmp file stolen.
+    tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
+    with open(tmp, "wb") as fh:
+        fh.write(head)
+        fh.write(body)
+        fh.write(b"}")
+    os.replace(tmp, path)
+
+
+def read_envelope(path: pathlib.Path) -> Tuple[Dict[str, Any], Any]:
+    """``(header, payload)`` of an envelope written by :func:`write_envelope`.
+
+    The checksum is verified over the payload bytes as read.  A missing
+    file raises :class:`FileNotFoundError`; anything else that is not
+    byte for byte such an envelope — unreadable, unparseable, without
+    the envelope keys, reformatted or bit-rotted — raises
+    :class:`CorruptEntry`.
+    """
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise CorruptEntry(f"unreadable: {exc}") from exc
+    try:
+        envelope = json.loads(raw)
+    except ValueError as exc:
+        raise CorruptEntry(f"invalid JSON: {exc}") from exc
+    if (
+        not isinstance(envelope, dict)
+        or "checksum" not in envelope
+        or "payload" not in envelope
+    ):
+        raise CorruptEntry("missing checksum envelope")
+    payload = envelope.pop("payload")
+    head = _envelope_head(envelope)
+    if (
+        not raw.startswith(head)
+        or not raw.endswith(b"}")
+        or hashlib.sha256(memoryview(raw)[len(head):-1]).hexdigest()
+        != envelope["checksum"]
+    ):
+        raise CorruptEntry("checksum mismatch")
+    return envelope, payload
 
 
 class RunCache:
     """On-disk store of run payloads, one JSON file per key.
 
     Entries are stored inside a checksummed envelope
-    (``{"checksum": sha256(payload), "payload": ...}``), so silent
-    corruption — a truncated write, bit rot, a partial concurrent clear
-    — is *detected*, logged, evicted and recomputed instead of feeding
-    garbage into an analysis or crashing the sweep.
+    (``{"checksum": sha256(payload bytes), "payload": ...}``, see
+    :func:`write_envelope`), so silent corruption — a truncated write,
+    bit rot, a partial concurrent clear — is *detected*, logged, evicted
+    and recomputed instead of feeding garbage into an analysis or
+    crashing the sweep.
 
     Instances count their own traffic (``hits``/``misses``/``stores``/
     ``corrupt``) so callers can report effectiveness; ``stats()`` adds
@@ -144,37 +219,21 @@ class RunCache:
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored payload for ``key``, or None (counted as a miss).
 
-        A corrupt entry — unparseable JSON, a missing envelope, or a
-        checksum mismatch — is logged, counted under ``corrupt``,
-        evicted, and reported as a miss so the caller recomputes.
+        A corrupt entry — unparseable JSON, a missing envelope, or
+        stored payload bytes that fail their checksum — is logged,
+        counted under ``corrupt``, evicted, and reported as a miss so
+        the caller recomputes.
         """
         with obs.span("cache.get", layer="cache", key=key[:12]) as sp:
             path = self.path_for(key)
             try:
-                envelope = json.loads(path.read_text())
+                _, payload = read_envelope(path)
             except FileNotFoundError:
                 self.misses += 1
                 sp.set(outcome="miss")
                 return None
-            except OSError as exc:
-                self._evict_corrupt(path, f"unreadable: {exc}")
-                sp.set(outcome="corrupt")
-                return None
-            except json.JSONDecodeError as exc:
-                self._evict_corrupt(path, f"invalid JSON: {exc}")
-                sp.set(outcome="corrupt")
-                return None
-            if (
-                not isinstance(envelope, dict)
-                or "checksum" not in envelope
-                or "payload" not in envelope
-            ):
-                self._evict_corrupt(path, "missing checksum envelope")
-                sp.set(outcome="corrupt")
-                return None
-            payload = envelope["payload"]
-            if _payload_checksum(payload) != envelope["checksum"]:
-                self._evict_corrupt(path, "checksum mismatch")
+            except CorruptEntry as exc:
+                self._evict_corrupt(path, str(exc))
                 sp.set(outcome="corrupt")
                 return None
             self.hits += 1
@@ -184,18 +243,7 @@ class RunCache:
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Store ``payload`` under ``key`` (atomic rename, last wins)."""
         with obs.span("cache.put", layer="cache", key=key[:12]):
-            path = self.path_for(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            envelope = {
-                "checksum": _payload_checksum(payload), "payload": payload,
-            }
-            # pid AND thread id: service worker threads sharing one cache
-            # may store the same engine-blind point concurrently, and the
-            # loser's os.replace must not find its tmp file stolen.
-            tmp = path.with_suffix(
-                f".tmp.{os.getpid()}.{threading.get_ident()}")
-            tmp.write_text(json.dumps(envelope, separators=(",", ":")))
-            os.replace(tmp, path)
+            write_envelope(self.path_for(key), payload)
             self.stores += 1
 
     def clear(self) -> int:

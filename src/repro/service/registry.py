@@ -10,38 +10,40 @@ registry with **zero** simulations — the job-level analogue of the PR 1
 run cache, and stored right next to it (``<cache-root>/registry/`` by
 default) so one ``--cache-dir`` flag provisions both layers.
 
-Records are written atomically (tmp + rename, like the run cache)
-inside the same checksummed envelope the PR 2 run cache uses
-(``{"schema", "checksum", "stored_at", "record"}``), and read
-defensively: an unparseable, wrong-schema, truncated or bit-rotted file
-is *evicted* and counted (``corrupt`` / ``evictions``), never raised —
-so a corrupted record degrades to one re-run instead of a serving
-outage, and the next completion heals the registry in place.
+Records are stored with the run cache's store format: one checksummed
+envelope per file, written by :func:`~repro.harness.cache.write_envelope`
+(atomic tmp + rename; the checksum is the SHA-256 of the record bytes
+as written) and verified by :func:`~repro.harness.cache.read_envelope`
+over the bytes as read.  Reads are defensive: an unparseable,
+wrong-schema, truncated or bit-rotted file is *evicted* and counted
+(``corrupt`` / ``evictions``), never raised — so a corrupted record
+degrades to one re-run instead of a serving outage, and the next
+completion heals the registry in place.  Files live under a
+``v<REGISTRY_SCHEMA_VERSION>`` directory, so a schema bump leaves old
+records unreachable instead of evicting them one by one.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import logging
-import os
 import pathlib
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.harness.cache import default_cache_dir
+from repro.harness.cache import (
+    CorruptEntry,
+    default_cache_dir,
+    read_envelope,
+    write_envelope,
+)
 
 logger = logging.getLogger(__name__)
 
 #: Bump to invalidate every stored job record (envelope layout changes).
 #: v2: checksummed envelope — corrupt records are detected and evicted.
-REGISTRY_SCHEMA_VERSION = 2
-
-
-def _record_checksum(record: Dict[str, Any]) -> str:
-    """SHA-256 over the canonical JSON rendering of a stored record."""
-    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+#: v3: the shared run-cache envelope (checksum over the stored record
+#: bytes, record under ``payload``), stored under ``v3/``.
+REGISTRY_SCHEMA_VERSION = 3
 
 
 def default_registry_dir() -> pathlib.Path:
@@ -57,12 +59,14 @@ class ExperimentRegistry:
     """On-disk store of job records, one JSON file per job key.
 
     Like the run cache, files fan out under a two-character prefix
-    directory.  Session counters (``hits``/``misses``/``stores``/
-    ``corrupt``) feed the service metrics.
+    directory (below the schema directory).  Session counters
+    (``hits``/``misses``/``stores``/``corrupt``) feed the service
+    metrics.
     """
 
     def __init__(self, root: Optional[pathlib.Path] = None):
         self.root = pathlib.Path(root) if root is not None else default_registry_dir()
+        self._dir = self.root / f"v{REGISTRY_SCHEMA_VERSION}"
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -71,7 +75,7 @@ class ExperimentRegistry:
 
     def path_for(self, key: str) -> pathlib.Path:
         """File backing ``key``."""
-        return self.root / key[:2] / f"{key}.json"
+        return self._dir / key[:2] / f"{key}.json"
 
     # -- record construction -------------------------------------------------
 
@@ -114,18 +118,10 @@ class ExperimentRegistry:
 
     def put(self, record: Dict[str, Any]) -> None:
         """Persist a record (atomic rename, last write wins)."""
-        key = record["key"]
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        envelope = {
-            "schema": REGISTRY_SCHEMA_VERSION,
-            "checksum": _record_checksum(record),
-            "stored_at": time.time(),
-            "record": record,
-        }
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(envelope, separators=(",", ":")))
-        os.replace(tmp, path)
+        write_envelope(
+            self.path_for(record["key"]), record,
+            schema=REGISTRY_SCHEMA_VERSION, stored_at=time.time(),
+        )
         self.stores += 1
 
     def _evict_corrupt(self, path: pathlib.Path, why: str) -> None:
@@ -152,24 +148,15 @@ class ExperimentRegistry:
         """
         path = self.path_for(key)
         try:
-            envelope = json.loads(path.read_text())
+            header, record = read_envelope(path)
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, json.JSONDecodeError) as exc:
-            self._evict_corrupt(path, f"unreadable: {exc}")
+        except CorruptEntry as exc:
+            self._evict_corrupt(path, str(exc))
             return None
-        if (
-            not isinstance(envelope, dict)
-            or envelope.get("schema") != REGISTRY_SCHEMA_VERSION
-            or "record" not in envelope
-            or "checksum" not in envelope
-        ):
-            self._evict_corrupt(path, "wrong schema or missing envelope")
-            return None
-        record = envelope["record"]
-        if _record_checksum(record) != envelope["checksum"]:
-            self._evict_corrupt(path, "checksum mismatch")
+        if header.get("schema") != REGISTRY_SCHEMA_VERSION:
+            self._evict_corrupt(path, "wrong schema")
             return None
         self.hits += 1
         return record
@@ -193,19 +180,13 @@ class ExperimentRegistry:
         payloads), so listing stays cheap even with large sweeps stored.
         """
         out: List[Dict[str, Any]] = []
-        if not self.root.exists():
-            return out
-        for path in sorted(self.root.glob("*/*.json")):
+        for path in sorted(self._dir.glob("*/*.json")):
             try:
-                envelope = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
+                header, rec = read_envelope(path)
+            except (FileNotFoundError, CorruptEntry):
                 continue
-            if (
-                not isinstance(envelope, dict)
-                or envelope.get("schema") != REGISTRY_SCHEMA_VERSION
-            ):
+            if header.get("schema") != REGISTRY_SCHEMA_VERSION:
                 continue
-            rec = envelope["record"]
             out.append({
                 "job_id": rec.get("key"),
                 "kind": (rec.get("spec") or {}).get("kind"),
@@ -220,9 +201,7 @@ class ExperimentRegistry:
 
     def stats(self) -> Dict[str, Any]:
         """Session counters plus on-disk record count."""
-        entries = 0
-        if self.root.exists():
-            entries = sum(1 for _ in self.root.glob("*/*.json"))
+        entries = sum(1 for _ in self._dir.glob("*/*.json"))
         return {
             "dir": str(self.root),
             "entries": entries,

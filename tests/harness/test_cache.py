@@ -234,3 +234,83 @@ def test_runner_uses_env_cache_by_default(monkeypatch, tmp_path):
     assert "checksum" in envelope
     payload = envelope["payload"]
     assert "profile" in payload and "msg" in payload
+
+
+# -- stored-bytes verification ----------------------------------------------
+
+
+def _flip_payload_digit(path):
+    """Rewrite one digit inside the stored payload bytes (still valid JSON)."""
+    raw = bytearray(path.read_bytes())
+    start = raw.index(b'"payload":') + len(b'"payload":')
+    i = next(i for i in range(start, len(raw)) if chr(raw[i]).isdigit())
+    raw[i] = ord("7") if raw[i] != ord("7") else ord("3")
+    path.write_bytes(bytes(raw))
+
+
+def test_envelope_wraps_payload_bytes_verbatim(tmp_path):
+    import hashlib
+
+    cache = RunCache(root=tmp_path)
+    key = run_key(p=1, seed=0)
+    payload = {"z": [1.5, None], "a": {"t": 0.1}}
+    cache.put(key, payload)
+    raw = cache.path_for(key).read_bytes()
+    body = json.dumps(payload, separators=(",", ":")).encode()
+    checksum = hashlib.sha256(body).hexdigest()
+    assert raw == b'{"checksum":"' + checksum.encode() + b'","payload":' + body + b"}"
+    assert cache.get(key) == payload
+    assert list(cache.get(key)) == ["z", "a"]  # key order survives
+
+
+def test_flipped_payload_digit_is_checksum_mismatch(tmp_path, caplog):
+    import logging
+
+    cache = RunCache(root=tmp_path)
+    key = run_key(p=1, seed=0)
+    cache.put(key, {"walltime": 12.345, "ranks": [3, 4]})
+    path = cache.path_for(key)
+    _flip_payload_digit(path)
+    json.loads(path.read_text())  # the bit rot left parseable JSON
+    with caplog.at_level(logging.WARNING, logger="repro.harness.cache"):
+        assert cache.get(key) is None
+    assert "checksum mismatch" in caplog.text
+    assert (cache.corrupt, cache.misses) == (1, 1)
+    assert not path.exists()
+
+
+def test_truncated_file_is_corrupt(tmp_path):
+    cache = RunCache(root=tmp_path)
+    key = run_key(p=1, seed=0)
+    cache.put(key, {"walltime": 12.345, "ranks": [3, 4]})
+    path = cache.path_for(key)
+    path.write_bytes(path.read_bytes()[:-5])
+    assert cache.get(key) is None
+    assert cache.corrupt == 1
+    assert not path.exists()
+
+
+def test_reformatted_envelope_is_checksum_mismatch(tmp_path):
+    """The checksum covers the bytes as written, not a re-rendering."""
+    from repro.harness.cache import CorruptEntry, read_envelope
+
+    cache = RunCache(root=tmp_path)
+    key = run_key(p=1, seed=0)
+    cache.put(key, {"x": 1})
+    path = cache.path_for(key)
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=1))
+    with pytest.raises(CorruptEntry, match="checksum mismatch"):
+        read_envelope(path)
+
+
+def test_schema_bump_leaves_old_entries_unreachable(tmp_path, monkeypatch):
+    import repro.harness.cache as cache_mod
+
+    cache = RunCache(root=tmp_path)
+    key = run_key(p=1, seed=0)
+    cache.put(key, {"x": 1})
+    monkeypatch.setattr(cache_mod, "CACHE_SCHEMA_VERSION",
+                        cache_mod.CACHE_SCHEMA_VERSION + 1)
+    assert cache.get(run_key(p=1, seed=0)) is None
+    assert (cache.misses, cache.corrupt) == (1, 0)
+    assert cache.path_for(key).exists()
