@@ -1,19 +1,30 @@
-"""Macro-step capture & replay benchmarks (the steady-state JIT).
+"""Steady-state benchmarks of the default fast paths.
 
 Not a paper artifact — these track the perf trajectory of the
-thread-free engine's macro-step layer (``repro.simmpi.macrostep``)
-across PRs, merged under the ``"macrostep"`` key of the shared
-``benchmarks/results/BENCH_engine.json`` (schema 3).
+thread-free engine's fast paths (the collective gate's replay in
+``repro.simmpi.coll_analytic`` and macro-step capture & replay in
+``repro.simmpi.macrostep``) across PRs, merged under the
+``"macrostep"`` key of the shared ``benchmarks/results/BENCH_engine.json``
+(schema 3).
+
+Configurations
+--------------
+The allreduce-heavy gates (p=1024, perf smoke, p=4096) compare the
+default configuration — ``coll_analytic`` and macro-step both on, where
+the gate's flat recursive-doubling executor resolves each world
+allreduce on its last arrival — against the fully interpreted one (both
+off: every rank runs its own recursive-doubling program message by
+message).  The halo2d gate toggles macro-step only.
 
 Metrics
 -------
-Replay drains whole steady-state rounds without per-rank ready-heap
-pops where the collective emulator engages, so the raw ``sched_steps``
-counter *shrinks* under macro-step.  Throughput is therefore reported
-as **equivalent scheduling steps per second**: the interpreted path's
-step count divided by each mode's wall-clock — i.e. how fast each mode
-retires the *same* simulated work.  The equivalent-steps ratio equals
-the wall-clock ratio by construction and is the acceptance number.
+The fast paths resolve whole collective invocations without per-rank
+ready-heap pops, so the raw ``sched_steps`` counter *shrinks*.
+Throughput is therefore reported as **equivalent scheduling steps per
+second**: the interpreted path's step count divided by each mode's
+wall-clock — i.e. how fast each mode retires the *same* simulated work.
+The equivalent-steps ratio equals the wall-clock ratio by construction
+and is the acceptance number.
 
 Bars
 ----
@@ -24,12 +35,13 @@ Bars
   ~1.6x (the workload's own numpy, the section runtime and generator
   resumption bound it; see docs/tuning.md), recorded as such with a
   1.25x floor asserted.
-* p=4096 smoke: capture & replay complete at the largest scale and the
-  artifact records the counters (``macrostep_p4096.txt``).
+* p=4096 smoke: the default configuration completes at the largest
+  scale and the artifact records the counters (``macrostep_p4096.txt``).
 
 ``REPRO_BENCH_FAST=1`` shrinks shapes and relaxes bars;
 ``REPRO_PERF_SMOKE=1`` enables the CI regression gate, which fails on
-a >30% drop of the replay speedup against the committed baseline.
+a >30% drop of the default-over-interpreted speedup against the
+committed baseline.
 """
 
 from __future__ import annotations
@@ -69,14 +81,19 @@ def _allreduce_heavy(rounds):
     return gmain
 
 
-def _best_of(reps, p, gmain, macrostep):
-    """Best-of-N wall-clock (min rides out shared-host noise) + result."""
+def _best_of(reps, p, gmain, fast):
+    """Best-of-N wall-clock (min rides out shared-host noise) + result.
+
+    ``fast`` is the default configuration (collective gate replay and
+    macro-step both on); otherwise both are off and every rank
+    interprets its own program.
+    """
     t_best, r_best = None, None
     for _ in range(reps):
         t0 = time.perf_counter()
         res = run_mpi(p, gmain, machine=_machine(p), seed=3,
-                      coll_analytic=False, engine="threadfree",
-                      macrostep=macrostep)
+                      coll_analytic=fast, engine="threadfree",
+                      macrostep=fast)
         dt = time.perf_counter() - t0
         if t_best is None or dt < t_best:
             t_best, r_best = dt, res
@@ -115,19 +132,22 @@ def test_macrostep_allreduce_heavy_p1024():
     reps = 2 if FAST_MODE else 3
     gmain = _allreduce_heavy(rounds)
 
-    t_on, r_on = _best_of(reps, p, gmain, macrostep=True)
-    t_off, r_off = _best_of(reps, p, gmain, macrostep=False)
+    t_on, r_on = _best_of(reps, p, gmain, fast=True)
+    t_off, r_off = _best_of(reps, p, gmain, fast=False)
     _assert_identical(r_on, r_off)
     assert r_on.rounds_captured > 0
     assert r_on.rounds_replayed > 0
-    # The emulator drains whole rounds: fewer raw heap pops than the
-    # interpreter for the same simulated work.
+    # The gate resolves each invocation on its last arrival: fewer raw
+    # heap pops than the interpreter for the same simulated work.
     assert r_on.sched_steps < r_off.sched_steps
+    assert r_on.collectives_fast == r_on.collectives_gated == rounds
 
     ratio = t_off / t_on                      # == equivalent-steps ratio
     merge_json_artifact("BENCH_engine", {"schema": 3, "macrostep": {
         "mode": "fast" if FAST_MODE else "full",
         "allreduce_heavy": {
+            "configuration_macrostep": "coll_analytic and macrostep on",
+            "configuration_interpreted": "coll_analytic and macrostep off",
             "ranks": p,
             "rounds": rounds,
             "wallclock_interpreted_s": t_off,
@@ -216,7 +236,7 @@ def test_macrostep_halo2d_p256_steady_state():
 
 
 def test_macrostep_p4096_smoke():
-    """p=4096 capture & replay smoke: the largest-scale claim.
+    """p=4096 default-configuration smoke: the largest-scale claim.
 
     Always runs at p=4096 — a smaller fast-mode p would smoke a
     different claim.  Asserts completion, engagement and bit-exact
@@ -227,7 +247,7 @@ def test_macrostep_p4096_smoke():
     gmain = _allreduce_heavy(rounds)
     t0 = time.perf_counter()
     res = run_mpi(p, gmain, machine=_machine(p), seed=3,
-                  coll_analytic=False, engine="threadfree", macrostep=True)
+                  engine="threadfree", coll_analytic=True, macrostep=True)
     elapsed = time.perf_counter() - t0
     assert res.engine == "threadfree"
     assert len(res.results) == p
@@ -239,10 +259,11 @@ def test_macrostep_p4096_smoke():
     assert all(r == res.results[0] for r in res.results)
     assert res.results[0] > 0.0
     lines = [
-        f"macro-step capture & replay: p={p} allreduce-heavy smoke",
+        f"default configuration: p={p} allreduce-heavy smoke",
         f"  rounds:            {rounds} Allreduce(16 doubles) + compute",
         f"  wall-clock:        {elapsed:8.3f} s",
         f"  scheduling steps:  {res.sched_steps}",
+        f"  collectives fast:  {res.collectives_fast}/{res.collectives_gated}",
         f"  rounds captured:   {res.rounds_captured}",
         f"  rounds replayed:   {res.rounds_replayed}",
         f"  deopts:            {res.deopts}",
@@ -251,27 +272,28 @@ def test_macrostep_p4096_smoke():
     save_artifact("macrostep_p4096", "\n".join(lines))
 
 
-#: Committed replay speedup of the perf-smoke shape (p=256, 24 rounds,
-#: best-of-3) on the reference host.  The CI gate fails when the
+#: Committed speedup of the default configuration over the fully
+#: interpreted one on the perf-smoke shape (p=256, 24 rounds, best-of-3)
+#: on the reference host.  The CI gate fails when the
 #: measured speedup drops more than 30% below it — a relative bar, so
 #: absolute host speed cancels out of the comparison.
 PERF_SMOKE_BASELINE_SPEEDUP = 2.6
 
 
 def test_perf_smoke_macrostep_regression():
-    """CI regression gate: replay speedup within 30% of the baseline."""
+    """CI regression gate: default-path speedup within 30% of the baseline."""
     if not PERF_SMOKE:
         import pytest
 
         pytest.skip("set REPRO_PERF_SMOKE=1 to run the regression gate")
     p, rounds = 256, 24
     gmain = _allreduce_heavy(rounds)
-    t_on, r_on = _best_of(3, p, gmain, macrostep=True)
-    t_off, r_off = _best_of(3, p, gmain, macrostep=False)
+    t_on, r_on = _best_of(3, p, gmain, fast=True)
+    t_off, r_off = _best_of(3, p, gmain, fast=False)
     _assert_identical(r_on, r_off)
     speedup = t_off / t_on
     floor = PERF_SMOKE_BASELINE_SPEEDUP * 0.7
     assert speedup >= floor, (
-        f"macro-step replay speedup regressed: {speedup:.2f}x measured, "
+        f"default-path speedup regressed: {speedup:.2f}x measured, "
         f"floor {floor:.2f}x (baseline {PERF_SMOKE_BASELINE_SPEEDUP}x - 30%)"
     )

@@ -77,12 +77,30 @@ comparable to fault-free runs, but an active
 releases every rank onto its own message-path program, because fault
 delivery points must fire mid-pattern at true engine scheduling
 granularity.
+
+The allreduce specialisation
+----------------------------
+World ``allreduce`` (and ``Allreduce``, which dispatches as it) is the
+synchronising step of most iterative runs, so the last arrival first
+offers it to :func:`_flat_allreduce`: the recursive-doubling schedule
+executed directly as a flat per-rank state machine, with no generator
+programs and no lean transport, under the replay's scheduling rule and
+through the same ``draw`` / ``route`` kernels.  It resolves the
+invocation only when every rank passes a same-shape, same-dtype numeric
+ndarray (at least one dimension) within the eager threshold and names
+the same pure built-in reduce op (SUM, PROD, MIN, MAX), p is a power of
+two, the communicator numbers ranks as the world does, and no PMPI tool
+wants ``on_send`` / ``on_recv``.  Otherwise it declines and
+:class:`_Replay` runs as for every other collective.  Either way the
+invocation counts as one fast resolution.
 """
 
 from __future__ import annotations
 
 import os
 from collections import deque
+from heapq import heapify, heappop, heappush
+from types import FunctionType
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
@@ -94,6 +112,7 @@ from repro.simmpi.datatypes import (
     is_buffer_payload,
     payload_nbytes,
 )
+from repro.simmpi.reduce_ops import ReduceOp, _max, _min, _prod, _sum
 from repro.simmpi.request import Request
 from repro.simmpi.sched import YIELD, Park, ReadyHeap
 
@@ -107,6 +126,12 @@ _FALSY = {"0", "false", "no", "off"}
 #: A collective program: ``factory(comm, ckey, *args)`` returning a
 #: generator that yields pending Requests and returns the result.
 ProgramFactory = Callable[..., Generator[Request, None, Any]]
+
+#: The reduce functions the flat allreduce trusts to be pure (no
+#: argument mutation, so payloads pass between ranks without cloning),
+#: each mapped to the ufunc its ndarray branch dispatches to —
+#: bit-identical on ndarray operands, minus one Python frame per combine.
+_OP_UFUNC = {_sum: np.add, _prod: np.multiply, _min: np.minimum, _max: np.maximum}
 
 
 def analytic_enabled(value: Optional[str] = None) -> bool:
@@ -228,9 +253,11 @@ class CollectiveGate:
         # active FaultPlan forces the message path — hang/crash delivery
         # points inside the pattern must fire on the owning rank's own
         # scheduling slot, which a batched replay cannot honour.
-        if self.engine.coll_analytic and self.engine._faults is None:
+        engine = self.engine
+        if engine.coll_analytic and engine._faults is None:
             entry.mode = "fast"
-            _Replay(entry).run()
+            if kind != "allreduce" or not _flat_allreduce(engine, entry):
+                _Replay(entry).run()
             self.fast += 1
             self._wake_others(entry, rank)
             yield YIELD
@@ -630,3 +657,159 @@ class _Replay:
             for q in range(size):
                 if state[q] == self._BLOCKED and entry.errors[q] is None:
                     entry.errors[q] = first
+
+
+def _flat_allreduce(engine, entry: _GateEntry) -> bool:
+    """Resolve one gated ``allreduce`` invocation in a flat event loop.
+
+    The trusted-shape specialisation of :class:`_Replay`: instead of
+    driving p ``_prog_allreduce`` generators over :class:`_LeanComm`,
+    the known recursive-doubling schedule runs directly, as a per-rank
+    (stage, blocked-on-recv) state machine under the same scheduling
+    rule (smallest ``(clock, rank)``; a woken rank re-enters at its
+    block-time clock and jumps forward on resume).  Each send is drawn
+    and routed by the network model's kernels, a send matching a posted
+    receive completes it at ``max(arrival, post_time) + o_recv``, and
+    combines apply in the program's canonical pair order, so every
+    simulated quantity evolves exactly as the replay would evolve it.
+
+    Returns False, leaving everything untouched, unless: every rank
+    passes a same-shape, same-dtype numeric ndarray of at least one
+    dimension (a 0-d combine yields a NumPy scalar, which travels as a
+    pickled object) within the eager threshold; every rank names the
+    same pure reduce op; p is a power of two; the communicator numbers
+    ranks as the world does; and no PMPI tool watches per-message
+    events.  True means ``entry.results`` holds every rank's result and
+    every rank's clock is final.
+    """
+    args = entry.args
+    a0 = args[0]
+    sb0 = a0[0]
+    if type(sb0) is not np.ndarray or not sb0.ndim:
+        return False
+    p = entry.size
+    if p & (p - 1):
+        # Non-power-of-2 counts add the pre/post folding phases.
+        return False
+    op0 = a0[1]
+    opf = op0.fn if type(op0) is ReduceOp else op0
+    # Plain functions hash by identity; a user's callable may not hash.
+    ufunc = _OP_UFUNC.get(opf) if type(opf) is FunctionType else None
+    if ufunc is None:
+        return False
+    tools = engine.tools
+    if tools.wants("on_send") or tools.wants("on_recv"):
+        return False
+    dtype = sb0.dtype
+    if dtype.kind not in "biufc":
+        return False
+    shape = sb0.shape
+    nb = sb0.nbytes
+    net = engine.network
+    if nb > net.machine.eager_threshold:
+        return False
+    comms = entry.comms
+    if comms[0]._group.ranks != tuple(range(p)):
+        return False  # permuted numbering: rank-indexed arrays would lie
+    results = [sb0]
+    append = results.append
+    for q in range(1, p):
+        aq = args[q]
+        sb = aq[0]
+        if (
+            type(sb) is not np.ndarray
+            or sb.shape != shape
+            or sb.dtype != dtype
+        ):
+            return False
+        opq = aq[1]
+        if (opq.fn if type(opq) is ReduceOp else opq) is not opf:
+            return False
+        append(sb)
+    # Recursive doubling: stage s pairs rank q with q ^ 2**s.
+    nst = p.bit_length() - 1
+    osnb = net.o_send + nb / net.machine.intra_node.bandwidth
+
+    ctxs = [comms[q].ctx for q in range(p)]
+    clocks = [c._clock for c in ctxs]
+    draw = net.draw
+    route = net.route
+    o_send = net.o_send
+    o_recv = net.o_recv
+    stg = [0] * p           # next stage per rank
+    wstage = [-1] * p       # stage of an unmatched posted receive
+    wrd = [0.0] * p         # completion time of a matched receive
+    wdata: List[Any] = [None] * p  # payload of a matched receive
+    env_a = [[None] * p for _ in range(nst)]  # queued arrival by (stage, src)
+    env_d = [[None] * p for _ in range(nst)]  # queued payload by (stage, src)
+    heap = [(clocks[q], q) for q in range(p)]
+    heapify(heap)
+    push = heappush
+    while heap:
+        q = heappop(heap)[1]
+        clk = clocks[q]
+        s = stg[q]
+        r = results[q]
+        partial = wdata[q]
+        if partial is not None:
+            # Resume the wait the rank blocked on (Request.wait's
+            # bookkeeping: jump to the completion stamp, take the data).
+            wdata[q] = None
+            rd = wrd[q]
+            if rd > clk:
+                clk = rd
+            if q & (1 << s):
+                r = ufunc(partial, r)
+            else:
+                r = ufunc(r, partial)
+            s += 1
+        while s < nst:
+            msk = 1 << s
+            ea = env_a[s]
+            dst = q ^ msk
+            lat, transfer = draw(q, dst, nb)
+            arrival = route(q, dst, clk + o_send, transfer, lat)[1]
+            clk = clk + osnb
+            if wstage[dst] == s:
+                # The partner already posted this receive and blocked:
+                # complete it at max(arrival, post_time) + o_recv and
+                # wake it at its block-time clock.
+                wstage[dst] = -1
+                pt = clocks[dst]
+                wrd[dst] = (arrival if arrival >= pt else pt) + o_recv
+                wdata[dst] = r
+                push(heap, (pt, dst))
+            else:
+                ea[q] = arrival
+                env_d[s][q] = r
+            # -- receive from the same partner (tags are per-stage, so
+            # the queue slot is exactly (stage, sender)) --
+            a = ea[dst]
+            if a is not None:
+                ea[dst] = None
+                ed = env_d[s]
+                data = ed[dst]
+                ed[dst] = None
+                rd = (a if a >= clk else clk) + o_recv
+                if rd > clk:
+                    clk = rd
+                if q & msk:
+                    r = ufunc(data, r)
+                else:
+                    r = ufunc(r, data)
+                s += 1
+                continue
+            wstage[q] = s
+            stg[q] = s
+            clocks[q] = clk
+            results[q] = r
+            break
+        else:
+            stg[q] = nst
+            clocks[q] = clk
+            results[q] = r
+    entry_results = entry.results
+    for q in range(p):
+        ctxs[q]._clock = clocks[q]
+        entry_results[q] = results[q]
+    return True

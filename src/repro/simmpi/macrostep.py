@@ -36,11 +36,11 @@ Each rank gets an observation phase and a replay phase:
   inlined, against the **shared** fabric queues (real
   :class:`~repro.simmpi.p2p.Envelope` / ``RecvPost`` objects, the real
   sequence counter).  ``g_Sendrecv`` consumes its recv/send pair in
-  one generator; ``g_Allreduce`` is compiled end to end — collective
-  gate protocol, recursive-doubling program, and transport in a single
-  generator with pooled requests and no payload clones (safe: the
-  exit gate bounds every payload's lifetime and the trusted reduce
-  ops are pure).
+  one generator.  Collectives run interpreted and only stay in
+  template sync: the choke-point guard consumes their ``("C", name)``
+  token.  Whole collective invocations are the collective gate's job
+  (:mod:`repro.simmpi.coll_analytic`), which resolves them the same
+  way whether their ranks replay or interpret.
 * **deopt** — the moment a guard fails (different call, peer, tag or
   size; a wildcard; a fault firing; the tail of the run) the lean
   bindings are removed, the call is delegated to the interpreter, and
@@ -73,17 +73,11 @@ from typing import Any, List, Optional
 
 import numpy as np
 
-from heapq import heapify, heappop, heappush
-
 from repro.simmpi.api import ANY_SOURCE, ANY_TAG, PROC_NULL
-from repro.simmpi.coll_analytic import _GateEntry
-from repro.simmpi.collectives import _prog_allreduce
 from repro.simmpi.comm import Communicator
 from repro.simmpi.datatypes import clone_payload, deliver_into, payload_nbytes
 from repro.simmpi.p2p import Envelope, RecvPost
-from repro.simmpi.reduce_ops import SUM, ReduceOp, _max, _min, _prod, _sum
 from repro.simmpi.request import Request
-from repro.simmpi.sched import YIELD, Park
 
 #: Environment switch for macro-stepping.  On by default; ``0`` /
 #: ``false`` / ``no`` / ``off`` keeps every round on the interpreter
@@ -91,14 +85,6 @@ from repro.simmpi.sched import YIELD, Park
 MACROSTEP_ENV = "REPRO_MACROSTEP"
 
 _FALSY = {"0", "false", "no", "off"}
-
-#: Reduce operations the compiled allreduce trusts to be pure (no
-#: argument mutation), allowing payload-clone elision.
-_PURE_OPS = frozenset({_sum, _prod, _min, _max})
-
-#: The ufunc each pure op's ndarray branch dispatches to — bit-identical
-#: on ndarray operands, minus one Python frame per combine.
-_OP_UFUNC = {_sum: np.add, _prod: np.multiply, _min: np.minimum, _max: np.maximum}
 
 #: Token budget before an aperiodic rank gives up observing.
 _MAX_TOKENS = 4096
@@ -111,7 +97,7 @@ _MAX_ENGAGEMENTS = 8
 #: Names bound on the communicator instance during observation.
 _OBS_NAMES = ("Isend", "Irecv", "isend", "irecv", "_collective_entry")
 #: Names bound during replay (superset of the observed surface).
-_LEAN_NAMES = _OBS_NAMES + ("g_Sendrecv", "g_Allreduce")
+_LEAN_NAMES = _OBS_NAMES + ("g_Sendrecv",)
 
 
 def macrostep_enabled(value: Optional[str] = None) -> bool:
@@ -166,7 +152,6 @@ class _RankJit:
         "engaged",
         "dead",
         "engagements",
-        "plans",
     )
 
     def __init__(self, comm):
@@ -181,10 +166,6 @@ class _RankJit:
         self.engaged = False
         self.dead = False
         self.engagements = 0
-        #: Compiled-allreduce plan cache, keyed by the unwrapped reduce
-        #: function (depends only on p and this rank — survives
-        #: re-engagement).
-        self.plans: dict = {}
 
 
 class MacrostepController:
@@ -383,218 +364,6 @@ def _build_consts(engine, jit: _RankJit, template: List[tuple]):
     return consts
 
 
-def _allreduce_plan(me: int, p: int, opf) -> Optional[tuple]:
-    """Compile the recursive-doubling schedule for this rank.
-
-    Mirrors ``collectives._prog_allreduce`` exactly: the non-power-of-2
-    prefold (even ranks donate, odd ranks fold and stand in), the
-    doubling rounds with their canonical combine order, and the odd
-    ranks' final result broadcast.  Returns ``(pre, rounds, post)``
-    where each communication step names its partner world rank, or
-    None when ``opf`` is untrusted.
-    """
-    if opf not in _PURE_OPS:
-        return None
-    pof2 = 1
-    while pof2 * 2 <= p:
-        pof2 *= 2
-    rem = p - pof2
-    ndoubling = pof2.bit_length() - 1
-    if me < 2 * rem:
-        if me % 2 == 0:
-            # Donate to me+1, receive the finished result back.
-            return (
-                ("even", me + 1, 0, ndoubling + 1),
-                (),
-                None,
-            )
-        pre = ("odd", me - 1, 0)
-        newrank = me // 2
-    else:
-        pre = None
-        newrank = me - rem
-    rounds = []
-    mask = 1
-    rnd = 1
-    while mask < pof2:
-        partner_new = newrank ^ mask
-        partner = (
-            partner_new * 2 + 1 if partner_new < rem else partner_new + rem
-        )
-        rounds.append((partner, rnd, partner < me))
-        mask <<= 1
-        rnd += 1
-    post = None
-    if pre is not None:
-        # Odd prefold ranks hand the result back to their even partner.
-        post = (me - 1, ndoubling + 1)
-    return (pre, tuple(rounds), post)
-
-
-# ---------------------------------------------------------------------------
-# whole-invocation allreduce emulation
-# ---------------------------------------------------------------------------
-
-
-def _emulate_allreduce(ctrl: MacrostepController, entry) -> bool:
-    """Resolve one gated allreduce invocation in a flat event loop.
-
-    The trusted-shape twin of ``coll_analytic._Replay``: instead of
-    driving p ``_prog_allreduce`` generators over a lean transport, the
-    known recursive-doubling schedule is executed directly — an explicit
-    per-rank (stage, blocked-on-recv) state machine under the engine's
-    exact scheduling rule (smallest ``(clock, rank)``; a woken rank
-    re-enters at its *block-time* clock and jumps forward on resume).
-    Every simulated quantity evolves in the order the message path
-    would produce: each send is drawn and routed by the network model's
-    kernels, sends match a posted receive by completing it at
-    ``max(arrival, post_time) + o_recv``, and combines apply in
-    canonical pair order.  Returns False (caller falls back to the
-    threaded per-message path) whenever any structural precondition
-    fails; True means the invocation is fully resolved — results in
-    ``entry.results``, every rank's real clock advanced to its final
-    value, the fabric's sequence counter advanced.
-    """
-    eng = ctrl.engine
-    if eng._faults is not None:
-        return False
-    p = entry.size
-    if p < 2 or p & (p - 1):
-        # Non-power-of-2 counts add the pre/post folding phases; those
-        # rounds stay on the per-message replay path.
-        return False
-    args = entry.args
-    a0 = args[0]
-    op0 = a0[1]
-    opf = op0.fn if type(op0) is ReduceOp else op0
-    if opf not in _PURE_OPS:
-        return False
-    sb0 = a0[0]
-    if type(sb0) is not np.ndarray:
-        return False
-    dtype = sb0.dtype
-    if dtype.hasobject:
-        return False
-    shape = sb0.shape
-    nb = sb0.nbytes
-    net = eng.network
-    if nb > net.machine.eager_threshold:
-        return False
-    comms = entry.comms
-    if comms[0]._group.ranks != tuple(range(p)):
-        return False  # permuted numbering: rank-indexed arrays would lie
-    results = [sb0]
-    append = results.append
-    for q in range(1, p):
-        aq = args[q]
-        sb = aq[0]
-        if (
-            type(sb) is not np.ndarray
-            or sb.shape != shape
-            or sb.dtype != dtype
-        ):
-            return False
-        opq = aq[1]
-        if (opq.fn if type(opq) is ReduceOp else opq) is not opf:
-            return False
-        append(sb)
-    # Recursive doubling: stage s pairs rank q with q ^ 2**s.
-    nst = p.bit_length() - 1
-    osnb = net.o_send + nb / net.machine.intra_node.bandwidth
-    # Both combine operands are always ndarrays here, so each pure op
-    # collapses to the ufunc its ndarray branch dispatches to anyway;
-    # calling the ufunc directly skips a Python frame per combine.
-    opf = _OP_UFUNC[opf]
-
-    ctxs = [comms[q].ctx for q in range(p)]
-    clocks = [c._clock for c in ctxs]
-    draw = net.draw
-    route = net.route
-    o_send = net.o_send
-    o_recv = net.o_recv
-    stg = [0] * p           # next stage per rank
-    wstage = [-1] * p       # stage of an unmatched posted receive
-    wrd = [0.0] * p         # completion time of a matched receive
-    wdata: List[Any] = [None] * p  # payload of a matched receive
-    env_a = [[None] * p for _ in range(nst)]  # queued arrival by (stage, src)
-    env_d = [[None] * p for _ in range(nst)]  # queued payload by (stage, src)
-    heap = [(clocks[q], q) for q in range(p)]
-    heapify(heap)
-    push = heappush
-    while heap:
-        q = heappop(heap)[1]
-        clk = clocks[q]
-        s = stg[q]
-        r = results[q]
-        partial = wdata[q]
-        if partial is not None:
-            # Resume the wait the rank blocked on (Request.wait's
-            # bookkeeping: jump to the completion stamp, take the data).
-            wdata[q] = None
-            rd = wrd[q]
-            if rd > clk:
-                clk = rd
-            if q & (1 << s):
-                r = opf(partial, r)
-            else:
-                r = opf(r, partial)
-            s += 1
-        while s < nst:
-            msk = 1 << s
-            ea = env_a[s]
-            dst = q ^ msk
-            lat, transfer = draw(q, dst, nb)
-            arrival = route(q, dst, clk + o_send, transfer, lat)[1]
-            clk = clk + osnb
-            if wstage[dst] == s:
-                # The partner already posted this receive and blocked:
-                # complete it at max(arrival, post_time) + o_recv and
-                # wake it at its block-time clock, exactly as
-                # wake_if_waiting would.
-                wstage[dst] = -1
-                pt = clocks[dst]
-                wrd[dst] = (arrival if arrival >= pt else pt) + o_recv
-                wdata[dst] = r
-                push(heap, (pt, dst))
-            else:
-                ea[q] = arrival
-                env_d[s][q] = r
-            # -- receive from the same partner (tags are per-stage, so
-            # the queue slot is exactly (stage, sender)) --
-            a = ea[dst]
-            if a is not None:
-                ea[dst] = None
-                ed = env_d[s]
-                data = ed[dst]
-                ed[dst] = None
-                rd = (a if a >= clk else clk) + o_recv
-                if rd > clk:
-                    clk = rd
-                if q & msk:
-                    r = opf(data, r)
-                else:
-                    r = opf(r, data)
-                s += 1
-                continue
-            wstage[q] = s
-            stg[q] = s
-            clocks[q] = clk
-            results[q] = r
-            break
-        else:
-            stg[q] = nst
-            clocks[q] = clk
-            results[q] = r
-    entry_results = entry.results
-    for q in range(p):
-        ctxs[q]._clock = clocks[q]
-        entry_results[q] = results[q]
-    # One message and one matching attempt per (rank, stage), each
-    # burning a fabric sequence number.
-    eng.fabric._seq += 2 * p * nst
-    return True
-
-
 # ---------------------------------------------------------------------------
 # lean (replay) methods
 # ---------------------------------------------------------------------------
@@ -611,7 +380,6 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
     comm = jit.comm
     ctx = jit.ctx
     eng = ctrl.engine
-    gate = eng.coll_gate
     fabric = eng.fabric
     net = eng.network
     sends = fabric._sends
@@ -620,12 +388,9 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
     route = net.route
     o_send = net.o_send
     o_recv = net.o_recv
-    eager = net.machine.eager_threshold
     intra_bw = net.machine.intra_node.bandwidth
     me = jit.rank
-    p = comm.size
-    wcid = comm.cid
-    pkey = ("p", wcid)
+    pkey = ("p", comm.cid)
     kq_recv = (pkey, me)
     faults = eng._faults
     wake = eng.wake_if_waiting
@@ -633,7 +398,6 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
     consts = jit.consts
     L = len(template)
     deopt = ctrl.deopt
-    plans = jit.plans
     #: Pooled receive request for the fused ops (never escapes them).
     pooled = Request(ctx, "recv", "macrostep replay recv")
 
@@ -1025,205 +789,11 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
         rreq._waited = True
         return ()
 
-    # -- fused, fully compiled g_Allreduce -----------------------------------
-
-    def lean_g_Allreduce(sendbuf, recvbuf, op=SUM):
-        cur = jit.cursor
-        e = template[cur]
-        if e[0] != "C" or e[1] != "Allreduce" or comm._freed:
-            deopt(jit)
-            return (yield from Communicator.g_Allreduce(
-                comm, sendbuf, recvbuf, op
-            ))
-        opf = op.fn if type(op) is ReduceOp else op
-        plan = plans.get(opf, False)
-        if plan is False:
-            plan = _allreduce_plan(me, p, opf)
-            plans[opf] = plan
-        if plan is None:
-            # Untrusted reduce op: interpret this invocation; the
-            # instance _collective_entry guard consumes the token.
-            return (yield from Communicator.g_Allreduce(
-                comm, sendbuf, recvbuf, op
-            ))
-        _advance(1)
-        sb = np.asarray(sendbuf)
-        if faults is not None:
-            _poll()
-        # ckey minting (comm._next_coll_key, inlined).
-        cseq = comm._coll_seq
-        comm._coll_seq = cseq + 1
-        ckey = ("c", wcid, cseq)
-        # --- entry gate (CollectiveGate.g_run, inlined) ---
-        pend = gate._pending
-        entry = pend.get(ckey)
-        if entry is None:
-            entry = pend[ckey] = _GateEntry("Allreduce", ckey, p)
-            gate.gated += 1
-        if entry.kind != "Allreduce":
-            deopt(jit)
-            raise _kind_mismatch(ckey, entry.kind)
-        entry.comms[me] = comm
-        # Register the interpreted program so a mixed-mode last
-        # arrival can still resolve the invocation analytically.
-        entry.factories[me] = _prog_allreduce
-        entry.args[me] = (sb, op)
-        entry.arrived += 1
-        if entry.arrived < p:
-            yield Park(
-                ("collective gate: {} waiting for {} more rank(s)",
-                 "Allreduce", p - entry.arrived)
-            )
-            if entry.mode == "fast":
-                result = gate._finish_fast(entry, me)
-                np.asarray(recvbuf)[...] = result
-                return None
-        else:
-            # Last arrival resolves the invocation (this method is bound
-            # only when the analytic path would not replay it).
-            if _emulate_allreduce(ctrl, entry):
-                # Whole-invocation flat replay: results and final
-                # clocks are already in place, so the parked ranks
-                # resume through the same fast-mode finish the analytic
-                # path uses (interpreted arrivals included — their
-                # ``g_run`` park handles mode == "fast" natively).
-                entry.mode = "fast"
-                gate._wake_others(entry, me)
-                yield YIELD
-                result = gate._finish_fast(entry, me)
-                np.asarray(recvbuf)[...] = result
-                return None
-            entry.mode = "threaded"
-            gate._wake_others(entry, me)
-            yield YIELD
-        # --- compiled recursive doubling (collectives._prog_allreduce,
-        # inlined over the lean transport; no payload clones — the
-        # trusted ops are pure and the exit gate bounds every payload's
-        # lifetime) ---
-        result = sb
-        pre, rounds, post_send_c = plan
-
-        def _lsend(dst, tag, payload):
-            # Returns the pending rndv request, or None for eager
-            # (whose completed-request yield is a clock no-op).
-            nb = payload.nbytes
-            if nb > eager:
-                srq = Request(ctx, "send", "macrostep coll send")
-                fabric.post_send(ctx, ckey, dst, tag, payload, nb, srq)
-                if not srq.done:
-                    ctx._advance(o_send)
-                    return srq
-                return None
-            if faults is not None:
-                _poll()
-            _send_eager(dst, (ckey, dst), tag, payload, nb)
-            return None
-
-        def _lrecv_try(src, tag):
-            # Inline-complete a matched receive; None means pending
-            # (the caller must post `pooled` and yield it).
-            if faults is not None:
-                _poll()
-            best, seq = _recv_match((ckey, me), src, tag)
-            if best is None:
-                r = pooled
-                r.done = False
-                r._waited = False
-                r.data = None
-                r.waiter = None
-                post = RecvPost(me, ckey, src, tag, None, ctx._clock,
-                                r, seq)
-                kqr = (ckey, me)
-                q = recvs.get(kqr)
-                if q is None:
-                    recvs[kqr] = [post]
-                else:
-                    q.append(post)
-                return None
-            if best.rndv:
-                r = pooled
-                r.done = False
-                r._waited = False
-                r.data = None
-                r.waiter = None
-                post = RecvPost(me, ckey, src, tag, None, ctx._clock,
-                                r, seq)
-                fabric._complete_pair(best, post)
-                ct = r.completion_time
-                if ct > ctx._clock:
-                    ctx._clock = ct
-                return (r.data,)
-            arrival = best.arrival
-            pt = ctx._clock
-            recv_done = (arrival if arrival > pt else pt) + best.recv_overhead
-            if recv_done > ctx._clock:
-                ctx._clock = recv_done
-            return (best.data,)
-
-        if pre is not None:
-            if pre[0] == "even":
-                _, peer, stag, rtag = pre
-                srq = _lsend(peer, stag, result)
-                if srq is not None:
-                    yield srq
-                got = _lrecv_try(peer, rtag)
-                if got is None:
-                    result = yield pooled
-                else:
-                    result = got[0]
-                # Donating even ranks take the finished result and
-                # skip the doubling rounds entirely.
-                rounds = ()
-                post_send_c = None
-            else:
-                _, peer, rtag = pre
-                got = _lrecv_try(peer, rtag)
-                if got is None:
-                    partial = yield pooled
-                else:
-                    partial = got[0]
-                result = opf(partial, result)
-        for peer, tag, partner_first in rounds:
-            srq = _lsend(peer, tag, result)
-            got = _lrecv_try(peer, tag)
-            if got is None:
-                partial = yield pooled
-            else:
-                partial = got[0]
-            if srq is not None:
-                yield srq
-            if partner_first:
-                result = opf(partial, result)
-            else:
-                result = opf(result, partial)
-        if post_send_c is not None:
-            peer, tag = post_send_c
-            srq = _lsend(peer, tag, result)
-            if srq is not None:
-                yield srq
-        # --- exit gate (CollectiveGate._g_run_threaded tail, inlined) ---
-        entry.exited += 1
-        if entry.exited < p:
-            entry.exit_parked.append(me)
-            yield Park(
-                ("collective exit gate: {} waiting for {} unfinished "
-                 "rank(s)", "Allreduce", p - entry.exited)
-            )
-        else:
-            engine_ranks = eng
-            for q in entry.exit_parked:
-                engine_ranks.make_ready(entry.comms[q].ctx.rank)
-            entry.exit_parked = []
-            pend.pop(ckey, None)
-            yield YIELD
-        np.asarray(recvbuf)[...] = result
-        return None
-
     # -- guarded collective choke point --------------------------------------
 
     def lean_collective_entry(name):
-        # Non-compiled collectives run interpreted but must stay in
-        # template sync: consume their "C" token or deoptimize.
+        # Collectives run interpreted but must stay in template sync:
+        # consume their "C" token or deoptimize.
         e = template[jit.cursor]
         if e[0] == "C" and e[1] == name:
             _advance(1)
@@ -1237,17 +807,3 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
     comm.irecv = lean_irecv
     comm.g_Sendrecv = lean_g_Sendrecv
     comm._collective_entry = lean_collective_entry
-    # The compiled collective binds only when the gate would go
-    # threaded; otherwise the analytic fast path owns it and the
-    # choke-point guard above keeps the template in sync.
-    if not (eng.coll_analytic and faults is None):
-        comm.g_Allreduce = lean_g_Allreduce
-
-
-def _kind_mismatch(ckey, started_as):
-    from repro.errors import CommMismatchError
-
-    return CommMismatchError(
-        f"collective mismatch in sub-context {ckey}: this rank called "
-        f"'Allreduce' but the invocation started as {started_as!r}"
-    )
