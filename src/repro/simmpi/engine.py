@@ -122,6 +122,25 @@ class _Hang(BaseException):
     """
 
 
+class _Detached:
+    """Stands in for the state a finished run has released.
+
+    :meth:`_EngineBase._release` points the engine's components and the
+    rank contexts' back-references here.  Any attribute access raises
+    :class:`_SimAbort`, so a rank thread that outlived the abort's join
+    (the wall-clock watchdog case) and wakes later unwinds like any
+    aborted rank on its next MPI call.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        raise _SimAbort(f"{name}: the run has finished")
+
+
+_DETACHED = _Detached()
+
+
 def is_generator_main(fn: Callable) -> bool:
     """Whether ``fn`` is a generator main (yields scheduling commands).
 
@@ -501,12 +520,23 @@ class _EngineBase:
         Returns once all ranks finished; raises :class:`RankFailedError`
         (first failing rank's exception chained) or
         :class:`DeadlockError`.
+
+        An engine runs once.  When this returns or raises, the run's
+        object graph (ranks, contexts, communicators, gate, fabric,
+        section runtime, macro-step state) has been detached, so
+        reference counting frees it: only the :class:`RunResult`, or the
+        exception with its diagnostics and partial profile, stays alive.
         """
         if self._started:
             raise EngineStateError("an Engine instance runs at most once")
         self._started = True
-        kwargs = kwargs or {}
+        try:
+            return self._run(main, args, kwargs or {})
+        finally:
+            self._release()
 
+    def _run(self, main: Callable, args: tuple, kwargs: dict) -> RunResult:
+        """Set up, schedule and finalize the run (the body of :meth:`run`)."""
         with obs.span("engine.run", layer="engine", ranks=self.n_ranks,
                       machine=self.machine.name, seed=self.seed) as run_span:
             self._tracer = obs.current_tracer()
@@ -555,6 +585,34 @@ class _EngineBase:
                 rounds_replayed=self.rounds_replayed,
                 deopts=self.deopts,
             )
+
+    def _release(self) -> None:
+        """Detach the run's object graph (the last step of :meth:`run`).
+
+        Cuts one edge of every reference cycle a run builds, so the
+        engine, its rank records, contexts, communicators and the
+        payloads they hold are freed by reference counting as soon as
+        nothing outside references them — no cyclic collection needed:
+
+        * engine → gate, fabric, section runtime, macro-step controller,
+          rank records and failed list (each of which points back);
+        * macro-step's closures bound on each world communicator;
+        * each context's engine, rank-record and world-communicator
+          references (the communicator points back at its context);
+        * each rank record's exception (whose traceback holds the
+          record).
+        """
+        for rec in self._ranks:
+            ctx = rec.ctx
+            if ctx is not None:
+                ctx.engine = ctx._thread = ctx.comm = _DETACHED
+            rec.exc = None
+        if self._macro is not None:
+            self._macro.detach()
+            self._macro = None
+        self.coll_gate = self.fabric = self._sections = _DETACHED
+        self._ranks = []
+        self._failed = []
 
     def _setup(self, main: Callable, args: tuple, kwargs: dict) -> None:
         raise NotImplementedError

@@ -199,6 +199,17 @@ class MacrostepController:
         eng.rounds_replayed = sum(j.wraps for j in self.jits)
         eng.deopts = self.deopts
 
+    def detach(self) -> None:
+        """Unbind every rank's observers and lean methods (run release).
+
+        The bound closures and the communicator they are bound on point
+        at each other; dropping them lets reference counting free both.
+        """
+        for jit in self.jits:
+            d = jit.comm.__dict__
+            for name in _LEAN_NAMES:
+                d.pop(name, None)
+
     # -- capture ---------------------------------------------------------------
 
     def note(self, jit: _RankJit, tok: tuple) -> None:

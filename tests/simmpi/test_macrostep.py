@@ -8,8 +8,9 @@ RNG draws and emits the same section events as the interpreted path, so
 **everything observable must be bit-identical**: results, per-rank
 clocks, virtual walltime, network counters, section-event streams and
 the derived interval records.  Only the capture/replay/deopt counters
-(and ``sched_steps``, which shrinks where the emulator drains whole
-rounds without touching the ready heap) may differ.
+(and ``sched_steps``, which is not part of the contract: replay may
+reach the same state through a different number of scheduling steps)
+may differ.
 
 The matrix: every zoo workload x {no faults, straggler, hang} x
 p in {17, 64, 256}, macro-step on vs off, with the thread-per-rank
@@ -150,9 +151,9 @@ def test_counters_deterministic_and_replay_engages():
     # The scalar-allreduce REDUCE tail is intentionally outside every
     # template: each rank deopts exactly once when the shape changes.
     assert a.deopts > 0
-    # sched_steps is *not* part of the bit-identity contract: the
-    # emulator may drain whole rounds without per-rank heap pops.  It
-    # happens to match here, but the test deliberately does not pin it.
+    # sched_steps is *not* part of the bit-identity contract: replay
+    # may reach the same state through a different number of scheduling
+    # steps.  The test deliberately does not pin it.
 
 
 def test_fault_scenario_exercises_deopt():
@@ -171,7 +172,7 @@ def test_ineligible_workload_runs_interpreted():
         "taskfarm", res, _run("taskfarm", 17, macrostep=False))
 
 
-# -- compiled allreduce (message path) ------------------------------------------
+# -- the collective gate's allreduce ----------------------------------------------
 
 
 def _allreduce_loop(op, rounds=12):
@@ -192,28 +193,34 @@ def _allreduce_loop(op, rounds=12):
 
 @pytest.mark.parametrize("op", [SUM, MAX], ids=["sum", "max"])
 @pytest.mark.parametrize("p, fault", [
-    (16, "none"),       # power of two: the whole-invocation emulator
-    (12, "none"),       # compiled recursive doubling with the pre-fold
-    (16, "straggler"),  # compiled recursive doubling under a fault plan
+    (16, "none"),       # power of two: the gate's flat recursive doubling
+    (12, "none"),       # not a power of two: the flat executor declines, _Replay
+    (16, "straggler"),  # fault plan: the gate keeps the message path
 ])
-def test_compiled_allreduce_bit_identical(p, fault, op):
-    """With the analytic path off, macro-step replays world allreduce
-    through its own compiled transport; it must match the interpreter."""
+def test_gate_allreduce_matches_interpreter(p, fault, op):
+    """The default configuration (analytic gate and macro-step on)
+    resolves world allreduce through the collective gate —
+    ``coll_analytic._flat_allreduce`` or ``_Replay`` — and must match
+    the fully interpreted run bit for bit."""
     plan = FAULTS[fault]
     runs = {}
-    for ms in (True, False):
-        runs[ms] = run_mpi(
+    for fast in (True, False):
+        runs[fast] = run_mpi(
             p, _allreduce_loop(op),
             machine=nehalem_cluster(nodes=-(-p // 8), jitter=0.1),
             seed=3,
             compute_jitter=0.04,
             faults=FaultPlan.from_dict(plan) if plan is not None else None,
-            coll_analytic=False,
+            coll_analytic=fast,
             engine="threadfree",
-            macrostep=ms,
+            macrostep=fast,
         )
     on, off = runs[True], runs[False]
-    assert on.rounds_replayed > 0
+    if fault == "none":
+        assert on.collectives_fast > 0
+    else:
+        assert on.collectives_fast == 0
+    assert off.collectives_fast == 0
     assert _eq(on.results, off.results)
     assert on.clocks == off.clocks
     assert on.walltime == off.walltime
