@@ -2,11 +2,12 @@
 
 :mod:`~repro.harness.sweeps` defines the canonical parameter sweeps (the
 scaled-down defaults and the paper-scale variants); :mod:`~repro.harness.
-runner` executes workloads across sweeps into profile containers —
-optionally fanning points out over worker processes
-(:mod:`~repro.harness.parallel`) and replaying previously simulated
+runner` and :mod:`~repro.harness.scenario` execute workloads across
+sweeps into profile containers.  All three sweep entry points run on one
+point loop (:func:`~repro.harness.parallel.sweep_points`), which fans
+points out over worker processes and replays previously simulated
 points from a persistent on-disk store
-(:mod:`~repro.harness.cache`) — and :mod:`~repro.harness.experiments`
+(:mod:`~repro.harness.cache`); :mod:`~repro.harness.experiments`
 exposes ``fig5a`` … ``fig10`` / ``table7`` functions that return — and
 can print — the same rows and series the paper's figures and tables
 report.
@@ -27,7 +28,6 @@ from repro.harness.runner import (
 )
 from repro.harness.parallel import (
     PointOutcome,
-    map_points,
     map_points_failsoft,
     resolve_jobs,
 )
@@ -70,7 +70,6 @@ __all__ = [
     "fig6_process_counts",
     "run_convolution_sweep",
     "run_lulesh_grid",
-    "map_points",
     "map_points_failsoft",
     "PointOutcome",
     "PointFailure",

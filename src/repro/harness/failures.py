@@ -12,7 +12,7 @@ an exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import ReproError
 
@@ -85,6 +85,22 @@ class SweepFailureReport:
     def add(self, failure: PointFailure) -> None:
         """Append one failed point."""
         self.failures.append(failure)
+
+    def to_payload(self) -> List[Dict[str, Any]]:
+        """JSON form of the report for result payloads (empty when clean).
+
+        Every field but the traceback, one dict per failed point.
+        """
+        return [
+            {
+                "label": f.label,
+                "error_type": f.error_type,
+                "message": f.message,
+                "attempts": f.attempts,
+                "worker_died": f.worker_died,
+            }
+            for f in self.failures
+        ]
 
     def summary_lines(self) -> List[str]:
         """Aligned table of failures (for logs and the CLI)."""

@@ -1,4 +1,4 @@
-"""Parallel sweep execution across worker processes.
+"""Parallel, cached, fail-soft sweep execution.
 
 Every sweep point is an independent, deterministically seeded
 simulation (repetition ``r`` at scale ``x`` derives its seed from the
@@ -7,11 +7,16 @@ can execute on any number of worker processes and still merge into a
 result bit-identical to the serial run: the merge happens in canonical
 point order, and each point's output depends only on its own inputs.
 
-:func:`map_points` is the primitive the runners build on.  It yields
-results *in submission order* while later points keep executing in the
-background (``ProcessPoolExecutor.map`` buffers out-of-order
-completions), which is what keeps ``progress`` callback streams
-identical between serial and parallel runs.
+:func:`sweep_points` is the one point loop every sweep entry point
+(:func:`~repro.harness.runner.run_convolution_sweep`,
+:func:`~repro.harness.runner.run_lulesh_grid`,
+:func:`~repro.harness.scenario.run_scenario`) runs on: it checks the
+seed set, replays cached points, fans the rest out with
+:func:`map_points_failsoft` and merges in canonical order, emitting the
+``progress`` lines and collecting failures.  The map yields outcomes
+*in submission order* while later points keep executing in the
+background, which is what keeps ``progress`` streams identical between
+serial and parallel runs.
 
 The worker count resolves, in priority order: an explicit ``jobs``
 argument → the ``REPRO_JOBS`` environment variable → 1 (serial).  A
@@ -28,11 +33,17 @@ import traceback as _traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 from repro import obs
 from repro.errors import ReproError
+from repro.harness.cache import RunCache, maybe_default_cache
+from repro.harness.failures import (
+    PointFailure,
+    SweepFailureReport,
+    SweepPointError,
+)
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -103,58 +114,6 @@ def backoff_delay(
         draw = (rng or _random).random()
         delay *= 1.0 + jitter * draw
     return delay
-
-
-def map_points(
-    fn: Callable[[_T], _R],
-    tasks: Sequence[_T],
-    jobs: int,
-) -> Iterator[_R]:
-    """Yield ``fn(task)`` for every task, in task order.
-
-    With ``jobs <= 1`` (or fewer than two tasks) this runs inline — the
-    serial and parallel paths share the same per-point function, which
-    is what makes their outputs trivially identical.  Otherwise tasks
-    fan out over a process pool; results stream back lazily but always
-    in submission order, so a consumer can emit ordered progress while
-    later points are still running.
-
-    ``fn`` and every task must be picklable (module-level function,
-    dataclass arguments).  A worker exception propagates to the caller
-    on the failing task's turn, mirroring where the serial run would
-    have raised.
-    """
-    if jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            yield fn(task)
-        return
-    # Trace propagation: the worker side adopts the parent's trace ID so
-    # its spans fold into one timeline; spools are gathered once the
-    # pool has drained (see repro.obs).
-    ctx = obs.propagation_context()
-    with obs.span("pool.map", layer="harness",
-                  jobs=min(jobs, len(tasks)), tasks=len(tasks)):
-        try:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-                yield from pool.map(partial(_traced_call, fn, ctx), tasks)
-        finally:
-            tracer = obs.current_tracer()
-            if tracer is not None:
-                tracer.gather()
-
-
-def _traced_call(fn: Callable[[_T], _R], ctx, task: _T) -> _R:
-    """Worker-side shim: run ``fn(task)`` inside the propagated trace.
-
-    Module-level so ``partial(_traced_call, fn, ctx)`` pickles.  With
-    tracing off (``ctx`` None) this is a plain call.
-    """
-    worker = obs.adopt_context(ctx)
-    try:
-        with obs.span("worker.task", layer="harness"):
-            return fn(task)
-    finally:
-        obs.release_context(worker)
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +222,14 @@ def map_points_failsoft(
 ) -> Iterator[PointOutcome]:
     """Yield a :class:`PointOutcome` per task, in task order.
 
-    The fail-soft sibling of :func:`map_points`: a point that raises (or
-    whose worker process dies) produces a failed outcome instead of
-    aborting the sweep.  Each point gets up to ``retries`` re-attempts
-    with exponential backoff starting at ``retry_backoff`` seconds.
+    With ``jobs <= 1`` (or fewer than two tasks) this runs inline;
+    otherwise tasks fan out over a process pool.  ``fn`` and every task
+    must be picklable (module-level function, dataclass arguments).
+
+    A point that raises (or whose worker process dies) produces a failed
+    outcome instead of aborting the map.  Each point gets up to
+    ``retries`` re-attempts with exponential backoff starting at
+    ``retry_backoff`` seconds.
 
     Worker death breaks a shared :class:`ProcessPoolExecutor` for every
     in-flight task, so on breakage the not-yet-collected points are
@@ -321,3 +284,127 @@ def map_points_failsoft(
     while next_yield < n:
         yield done[next_yield]
         next_yield += 1
+
+
+# ---------------------------------------------------------------------------
+# The sweep point loop
+# ---------------------------------------------------------------------------
+
+def _check_seed_collisions(points) -> None:
+    """Raise ``ValueError`` if two sweep points derived the same seed.
+
+    ``points`` yields ``(label, seed, task)`` triples; the labels name
+    the colliding points in the error so the sweep author can fix the
+    base-seed / reps / scale combination.
+    """
+    seen: Dict[int, str] = {}
+    for label, seed, _ in points:
+        other = seen.get(seed)
+        if other is not None:
+            raise ValueError(
+                f"seed collision: {label} and {other} both derived seed "
+                f"{seed}; their noise streams would be identical. Keep "
+                f"reps < 1000 and scales distinct, or change base_seed."
+            )
+        seen[seed] = label
+
+
+def sweep_points(
+    workload: str,
+    points: Sequence[Tuple[str, int, _T]],
+    worker: Callable[[_T], Tuple[Any, str]],
+    key: Callable[[_T], str],
+    encode: Callable[[Any, str], Dict[str, Any]],
+    decode: Callable[[Dict[str, Any]], Tuple[Any, str]],
+    *,
+    progress: Optional[Callable[[str], None]] = None,
+    jobs: Optional[int] = None,
+    cache: Optional[RunCache] = None,
+    on_error: str = "raise",
+    retries: int = 0,
+    retry_backoff: float = 0.0,
+    trace: str,
+    **span_fields: Any,
+) -> Tuple[List[Tuple[_T, Any]], SweepFailureReport]:
+    """Run every point of one sweep; returns ``(done, report)``.
+
+    ``points`` lists ``(label, seed, task)`` in canonical order.  A fresh
+    point runs ``worker(task)`` (module-level and picklable), which
+    returns ``(value, msg)`` with ``msg`` its progress line; a cached
+    one is replayed from ``cache`` under ``key(task)`` through
+    ``decode(payload) -> (value, msg)``, the inverse of the
+    ``encode(value, msg) -> payload`` that stored it.  ``cache``
+    defaults to :func:`~repro.harness.cache.maybe_default_cache`.  Every
+    point's progress line is emitted in canonical order, so the stream
+    is the same whatever ``jobs`` is and whichever points were cached.
+
+    ``done`` holds ``(task, value)`` for every point that succeeded, in
+    canonical order.  A failed point is never cached.  Under
+    ``on_error="raise"`` the first one re-raises its error; under
+    ``"skip"`` it gets a ``"<label>: FAILED (...)"`` progress line and
+    a record in ``report``.  Each point is retried ``retries`` times
+    with exponential backoff from ``retry_backoff`` seconds first.
+
+    Two points deriving the same seed raise ``ValueError`` before any
+    point runs.  The loop runs inside a ``sweep.run`` span (tagged with
+    ``workload`` and ``span_fields``), and ``trace`` names the trace it
+    mints when ``REPRO_TRACE`` is set — see :mod:`repro.obs`.
+    """
+    if on_error not in ("raise", "skip"):
+        raise ValueError(
+            f"on_error must be 'raise' or 'skip', got {on_error!r}"
+        )
+    with obs.env_trace(trace, layer="harness"), \
+            obs.span("sweep.run", layer="harness", workload=workload,
+                     **span_fields) as sweep_span:
+        _check_seed_collisions(points)
+        if cache is None:
+            cache = maybe_default_cache()
+        hits: Dict[int, dict] = {}
+        keys: List[Optional[str]] = [None] * len(points)
+        with obs.span("cache.resolve", layer="cache",
+                      enabled=cache is not None, points=len(points)) as csp:
+            if cache is not None:
+                for i, (_, _, task) in enumerate(points):
+                    keys[i] = key(task)
+                    payload = cache.get(keys[i])
+                    if payload is not None:
+                        hits[i] = payload
+            csp.set(hits=len(hits))
+        sweep_span.set(points=len(points), cache_hits=len(hits))
+        fresh = map_points_failsoft(
+            worker,
+            [task for i, (_, _, task) in enumerate(points) if i not in hits],
+            resolve_jobs(jobs),
+            retries=retries,
+            retry_backoff=retry_backoff,
+        )
+        done: List[Tuple[_T, Any]] = []
+        report = SweepFailureReport()
+        for i, (label, _, task) in enumerate(points):
+            if i in hits:
+                value, msg = decode(hits[i])
+            else:
+                out = next(fresh)
+                if not out.ok:
+                    failure = PointFailure(
+                        label, out.error_type, out.message, out.attempts,
+                        out.worker_died, out.traceback)
+                    if on_error == "raise":
+                        # the original exception when it survived the
+                        # worker boundary, else one naming the point
+                        if out.error is not None:
+                            raise out.error
+                        raise SweepPointError(failure)
+                    report.add(failure)
+                    if progress is not None:
+                        progress(f"{label}: FAILED "
+                                 f"({failure.error_type}: {failure.message})")
+                    continue
+                value, msg = out.value
+                if cache is not None:
+                    cache.put(keys[i], encode(value, msg))
+            done.append((task, value))
+            if progress is not None:
+                progress(msg)
+        return done, report

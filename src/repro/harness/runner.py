@@ -7,16 +7,19 @@ repetition ``r`` at process count ``p`` uses seed
 single point of a sweep can be re-executed in isolation and
 bit-compared.  The schemes keep points distinct only while ``reps``
 stays below the 1000-seed stride and scales do not repeat; every runner
-therefore materialises the full seed set up front and raises
-``ValueError`` on a collision instead of silently correlating two
-points' noise streams.
+therefore materialises the full seed set up front, and the point loop
+raises ``ValueError`` on a collision instead of silently correlating
+two points' noise streams.
 
-**Execution model.**  Each point is simulated by a module-level worker
-function taking a picklable task tuple, used identically by the serial
-path and by :func:`repro.harness.parallel.map_points_failsoft` worker
-processes — so a parallel run (``jobs > 1`` or ``$REPRO_JOBS``) merges,
-in canonical ``(scale, rep)`` order, into a result bit-identical to the
-serial one, with the same ordered ``progress`` line stream.  When a
+**Execution model.**  Each runner enumerates its points and folds the
+results; the point loop itself is
+:func:`repro.harness.parallel.sweep_points`, shared with
+:func:`repro.harness.scenario.run_scenario`.  Each point is simulated by
+a module-level worker function taking a picklable task tuple, used
+identically by the serial path and by worker processes — so a parallel
+run (``jobs > 1`` or ``$REPRO_JOBS``) merges, in canonical
+``(scale, rep)`` order, into a result bit-identical to the serial one,
+with the same ordered ``progress`` line stream.  When a
 :class:`~repro.harness.cache.RunCache` is active (passed explicitly, or
 by default whenever ``$REPRO_CACHE_DIR`` is set), previously executed
 points are replayed from disk instead of re-simulated.
@@ -32,76 +35,17 @@ the cache.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro import obs
 from repro.core.analysis import HybridAnalysis
 from repro.core.export import profile_from_dict, profile_to_dict
 from repro.core.profile import ScalingProfile, SectionProfile
-from repro.harness.cache import RunCache, maybe_default_cache, run_key
-from repro.harness.failures import (
-    PointFailure,
-    SweepFailureReport,
-    SweepPointError,
-)
-from repro.harness.parallel import (
-    PointOutcome,
-    map_points_failsoft,
-    resolve_jobs,
-)
+from repro.harness.cache import RunCache, run_key
+from repro.harness.parallel import sweep_points
 from repro.harness.sweeps import ConvolutionSweep, LuleshGridSweep
 from repro.workloads import registry
 from repro.workloads.lulesh import LuleshConfig
-
-
-def _check_on_error(on_error: str) -> None:
-    if on_error not in ("raise", "skip"):
-        raise ValueError(
-            f"on_error must be 'raise' or 'skip', got {on_error!r}"
-        )
-
-
-def _to_failure(label: str, out: PointOutcome) -> PointFailure:
-    """Convert a failed :class:`PointOutcome` into a report record."""
-    return PointFailure(
-        label=label,
-        error_type=out.error_type,
-        message=out.message,
-        attempts=out.attempts,
-        worker_died=out.worker_died,
-        traceback=out.traceback,
-    )
-
-
-def _raise_point(failure: PointFailure, out: PointOutcome) -> None:
-    """Propagate a failed point under ``on_error="raise"``.
-
-    Re-raises the original exception when it survived the worker
-    boundary (matching the historical fail-fast behaviour); otherwise
-    raises a :class:`SweepPointError` naming the point.
-    """
-    if out.error is not None:
-        raise out.error
-    raise SweepPointError(failure)
-
-
-def _check_seed_collisions(points) -> None:
-    """Raise ``ValueError`` if two sweep points derived the same seed.
-
-    ``points`` yields ``(label, seed)`` pairs; the label names the
-    colliding points in the error so the sweep author can fix the
-    base-seed / reps / scale combination.
-    """
-    seen: Dict[int, str] = {}
-    for label, seed in points:
-        other = seen.get(seed)
-        if other is not None:
-            raise ValueError(
-                f"seed collision: {label} and {other} both derived seed "
-                f"{seed}; their noise streams would be identical. Keep "
-                f"reps < 1000 and scales distinct, or change base_seed."
-            )
-        seen[seed] = label
 
 
 # ---------------------------------------------------------------------------
@@ -180,76 +124,34 @@ def run_convolution_sweep(
     an outermost entry point: it mints the trace and emits the
     self-profiling outputs on return — see :mod:`repro.obs`.
     """
-    _check_on_error(on_error)
-    with obs.env_trace("sweep.convolution", layer="harness"), \
-            obs.span("sweep.run", layer="harness", workload="convolution",
-                     reps=sweep.reps) as sweep_span:
-        points = [
-            (p, r, sweep.base_seed + 1000 * p + r)
-            for p in sweep.process_counts
-            for r in range(sweep.reps)
-        ]
-        _check_seed_collisions(
-            (f"convolution point (p={p}, rep={r})", seed)
-            for p, r, seed in points
-        )
-        if cache is None:
-            cache = maybe_default_cache()
-        hits: Dict[int, dict] = {}
-        keys: List[Optional[str]] = [None] * len(points)
-        with obs.span("cache.resolve", layer="cache",
-                      enabled=cache is not None, points=len(points)) as csp:
-            if cache is not None:
-                for i, (p, r, seed) in enumerate(points):
-                    keys[i] = _conv_point_key(sweep, p, r, seed)
-                    payload = cache.get(keys[i])
-                    if payload is not None:
-                        hits[i] = payload
-            csp.set(hits=len(hits))
-        sweep_span.set(points=len(points), cache_hits=len(hits))
-        fresh = map_points_failsoft(
-            _run_conv_point,
-            [(sweep, p, r, seed)
-             for i, (p, r, seed) in enumerate(points) if i not in hits],
-            resolve_jobs(jobs),
-            retries=retries,
-            retry_backoff=retry_backoff,
-        )
-        profile = ScalingProfile(scale_name="p")
-        report = SweepFailureReport()
-        for i, (p, r, seed) in enumerate(points):
-            if i in hits:
-                prof = profile_from_dict(hits[i]["profile"])
-                msg = hits[i]["msg"]
-            else:
-                out = next(fresh)
-                if not out.ok:
-                    failure = _to_failure(f"convolution p={p} rep={r}", out)
-                    if on_error == "raise":
-                        _raise_point(failure, out)
-                    report.add(failure)
-                    if progress is not None:
-                        progress(
-                            f"convolution p={p} rep={r}: FAILED "
-                            f"({failure.error_type}: {failure.message})"
-                        )
-                    continue
-                prof, msg = out.value
-                if cache is not None:
-                    cache.put(keys[i],
-                              {"profile": profile_to_dict(prof), "msg": msg})
-            profile.add(p, prof)
-            if progress is not None:
-                progress(msg)
-        profile.failures = report
-        return profile
+    points = []
+    for p in sweep.process_counts:
+        for r in range(sweep.reps):
+            seed = sweep.base_seed + 1000 * p + r
+            points.append((f"convolution p={p} rep={r}", seed,
+                           (sweep, p, r, seed)))
+    done, report = sweep_points(
+        "convolution", points, _run_conv_point,
+        key=lambda task: _conv_point_key(*task),
+        encode=lambda prof, msg: {"profile": profile_to_dict(prof),
+                                  "msg": msg},
+        decode=lambda d: (profile_from_dict(d["profile"]), d["msg"]),
+        progress=progress, jobs=jobs, cache=cache, on_error=on_error,
+        retries=retries, retry_backoff=retry_backoff,
+        trace="sweep.convolution", reps=sweep.reps,
+    )
+    profile = ScalingProfile(scale_name="p")
+    for (_, p, _, _), prof in done:
+        profile.add(p, prof)
+    profile.failures = report
+    return profile
 
 
 # ---------------------------------------------------------------------------
 # Lulesh MPI×OpenMP grid
 # ---------------------------------------------------------------------------
 
-def _run_lulesh_point(task) -> Tuple[SectionProfile, float, str]:
+def _run_lulesh_point(task) -> Tuple[Tuple[SectionProfile, float], str]:
     """Execute one (p, threads, rep) Lulesh point."""
     sweep, cfg, p, t, r, seed = task
     with obs.span("point.simulate", layer="harness",
@@ -271,11 +173,7 @@ def _run_lulesh_point(task) -> Tuple[SectionProfile, float, str]:
         f"lulesh p={p} t={t} rep={r}: wall={run.walltime:.3f}s "
         f"E-drift={drift:.2e}"
     )
-    return (
-        SectionProfile.from_run(run, p=p, threads=t),
-        drift,
-        msg,
-    )
+    return (SectionProfile.from_run(run, p=p, threads=t), drift), msg
 
 
 def _lulesh_point_key(
@@ -326,87 +224,39 @@ def run_lulesh_grid(
     Like :func:`run_convolution_sweep`, this is a ``REPRO_TRACE``
     entry point — see :mod:`repro.obs`.
     """
-    _check_on_error(on_error)
-    with obs.env_trace("sweep.lulesh", layer="harness"), \
-            obs.span("sweep.run", layer="harness", workload="lulesh",
-                     reps=sweep.reps) as sweep_span:
-        base_total = sweep.config.s**3  # elements at p=1
-        points: List[Tuple[LuleshConfig, int, int, int, int]] = []
-        for p in sorted(sweep.grid):
-            if sides and p in sides:
-                s = sides[p]
-            else:
-                s = round((base_total / p) ** (1.0 / 3.0))
-                if p * s**3 != base_total:
-                    s = sweep.config.s
-            cfg = sweep.config.with_side(s)
-            for t in sweep.grid[p]:
-                for r in range(sweep.reps):
-                    seed = sweep.base_seed + 1000 * (p * 1000 + t) + r
-                    points.append((cfg, p, t, r, seed))
-        _check_seed_collisions(
-            (f"lulesh point (p={p}, t={t}, rep={r})", seed)
-            for _, p, t, r, seed in points
-        )
-        if cache is None:
-            cache = maybe_default_cache()
-        hits: Dict[int, dict] = {}
-        keys: List[Optional[str]] = [None] * len(points)
-        with obs.span("cache.resolve", layer="cache",
-                      enabled=cache is not None, points=len(points)) as csp:
-            if cache is not None:
-                for i, (cfg, p, t, r, seed) in enumerate(points):
-                    keys[i] = _lulesh_point_key(sweep, cfg, p, t, r, seed)
-                    payload = cache.get(keys[i])
-                    if payload is not None:
-                        hits[i] = payload
-            csp.set(hits=len(hits))
-        sweep_span.set(points=len(points), cache_hits=len(hits))
-        fresh = map_points_failsoft(
-            _run_lulesh_point,
-            [
-                (sweep, cfg, p, t, r, seed)
-                for i, (cfg, p, t, r, seed) in enumerate(points)
-                if i not in hits
-            ],
-            resolve_jobs(jobs),
-            retries=retries,
-            retry_backoff=retry_backoff,
-        )
-        analysis = HybridAnalysis()
-        report = SweepFailureReport()
-        drift_acc: Dict[Tuple[int, int], float] = {}
-        drift_n: Dict[Tuple[int, int], int] = {}
-        for i, (cfg, p, t, r, seed) in enumerate(points):
-            if i in hits:
-                prof = profile_from_dict(hits[i]["profile"])
-                drift = hits[i]["drift"]
-                msg = hits[i]["msg"]
-            else:
-                out = next(fresh)
-                if not out.ok:
-                    failure = _to_failure(f"lulesh p={p} t={t} rep={r}", out)
-                    if on_error == "raise":
-                        _raise_point(failure, out)
-                    report.add(failure)
-                    if progress is not None:
-                        progress(
-                            f"lulesh p={p} t={t} rep={r}: FAILED "
-                            f"({failure.error_type}: {failure.message})"
-                        )
-                    continue
-                prof, drift, msg = out.value
-                if cache is not None:
-                    cache.put(keys[i], {
-                        "profile": profile_to_dict(prof),
-                        "drift": drift,
-                        "msg": msg,
-                    })
-            analysis.add(p, t, prof)
-            drift_acc[(p, t)] = drift_acc.get((p, t), 0.0) + drift
-            drift_n[(p, t)] = drift_n.get((p, t), 0) + 1
-            if progress is not None:
-                progress(msg)
-        drifts = {pt: acc / drift_n[pt] for pt, acc in drift_acc.items()}
-        analysis.failures = report
-        return analysis, drifts
+    base_total = sweep.config.s**3  # elements at p=1
+    points = []
+    for p in sorted(sweep.grid):
+        if sides and p in sides:
+            s = sides[p]
+        else:
+            s = round((base_total / p) ** (1.0 / 3.0))
+            if p * s**3 != base_total:
+                s = sweep.config.s
+        cfg = sweep.config.with_side(s)
+        for t in sweep.grid[p]:
+            for r in range(sweep.reps):
+                seed = sweep.base_seed + 1000 * (p * 1000 + t) + r
+                points.append((f"lulesh p={p} t={t} rep={r}", seed,
+                               (sweep, cfg, p, t, r, seed)))
+    done, report = sweep_points(
+        "lulesh", points, _run_lulesh_point,
+        key=lambda task: _lulesh_point_key(*task),
+        encode=lambda v, msg: {"profile": profile_to_dict(v[0]),
+                               "drift": v[1], "msg": msg},
+        decode=lambda d: ((profile_from_dict(d["profile"]), d["drift"]),
+                          d["msg"]),
+        progress=progress, jobs=jobs, cache=cache, on_error=on_error,
+        retries=retries, retry_backoff=retry_backoff,
+        trace="sweep.lulesh", reps=sweep.reps,
+    )
+    analysis = HybridAnalysis()
+    drift_acc: Dict[Tuple[int, int], float] = {}
+    drift_n: Dict[Tuple[int, int], int] = {}
+    for (_, _, p, t, _, _), (prof, drift) in done:
+        analysis.add(p, t, prof)
+        drift_acc[(p, t)] = drift_acc.get((p, t), 0.0) + drift
+        drift_n[(p, t)] = drift_n.get((p, t), 0) + 1
+    drifts = {pt: acc / drift_n[pt] for pt, acc in drift_acc.items()}
+    analysis.failures = report
+    return analysis, drifts

@@ -1,12 +1,13 @@
 """Scenario execution: a :class:`~repro.scenarios.ScenarioSpec` → profiles.
 
-The scenario twin of :func:`~repro.harness.runner.run_convolution_sweep`,
-generic over every registered workload plugin: points follow the same
-seeding contract (``base_seed + 1000 * p + rep``), run through the same
-fail-soft parallel map, and hit the same content-addressed run cache —
-with the plugin's validity check executed after **every** fresh point,
-so a corrupted simulation fails loudly instead of polluting a profile
-(and is never cached).
+Generic over every registered workload plugin, :func:`run_scenario`
+runs on the same point loop as the hand-wired sweeps of
+:mod:`repro.harness.runner` (:func:`~repro.harness.parallel.sweep_points`):
+points follow the same seeding contract (``base_seed + 1000 * p + rep``),
+run through the same fail-soft parallel map, and hit the same
+content-addressed run cache — with the plugin's validity check executed
+after **every** fresh point, so a corrupted simulation fails loudly
+instead of polluting a profile (and is never cached).
 
 :func:`scenario_payload` is the single canonical JSON rendering of a
 scenario result, shared by the CLI (``repro sweep --scenario``) and the
@@ -29,15 +30,9 @@ from repro.core.export import (
     scaling_to_json,
 )
 from repro.core.profile import ScalingProfile, SectionProfile
-from repro.harness.cache import RunCache, maybe_default_cache, run_key
-from repro.harness.failures import SweepFailureReport
-from repro.harness.parallel import map_points_failsoft, resolve_jobs
-from repro.harness.runner import (
-    _check_on_error,
-    _check_seed_collisions,
-    _raise_point,
-    _to_failure,
-)
+from repro.errors import ReproError
+from repro.harness.cache import RunCache, run_key
+from repro.harness.parallel import sweep_points
 from repro.scenarios import ScenarioSpec
 
 
@@ -66,7 +61,7 @@ def scenario_point_key(spec: ScenarioSpec, p: int, rep: int, seed: int) -> str:
 
 def _run_scenario_point(
     task,
-) -> Tuple[SectionProfile, Dict[str, float], str, Dict[str, Any]]:
+) -> Tuple[Tuple[SectionProfile, Dict[str, float], Dict[str, Any]], str]:
     """Execute one (p, rep) scenario point; the unit of parallelism."""
     spec, p, rep, seed = task
     plugin = spec.plugin()
@@ -103,12 +98,8 @@ def _run_scenario_point(
         f"msgs={res.network['messages']} steps={res.sched_steps} "
         f"replayed={res.rounds_replayed}"
     )
-    return (
-        SectionProfile.from_run(res, p=p, threads=spec.threads),
-        metrics,
-        msg,
-        intervals,
-    )
+    prof = SectionProfile.from_run(res, p=p, threads=spec.threads)
+    return (prof, metrics, intervals), msg
 
 
 def run_scenario(
@@ -139,88 +130,61 @@ def run_scenario(
     points are retried then skipped (``on_error="skip"``) into the
     profile's ``failures`` report, and never cached.
     """
-    _check_on_error(on_error)
-    with obs.env_trace("sweep.scenario", layer="harness"), \
-            obs.span("sweep.run", layer="harness", workload=spec.workload,
-                     reps=spec.reps) as sweep_span:
-        points = [
-            (p, r, spec.base_seed + 1000 * p + r)
-            for p in spec.process_counts
-            for r in range(spec.reps)
-        ]
-        _check_seed_collisions(
-            (f"{spec.workload} point (p={p}, rep={r})", seed)
-            for p, r, seed in points
-        )
-        if cache is None:
-            cache = maybe_default_cache()
-        hits: Dict[int, dict] = {}
-        keys: List[Optional[str]] = [None] * len(points)
-        with obs.span("cache.resolve", layer="cache",
-                      enabled=cache is not None, points=len(points)) as csp:
-            if cache is not None:
-                for i, (p, r, seed) in enumerate(points):
-                    keys[i] = scenario_point_key(spec, p, r, seed)
-                    payload = cache.get(keys[i])
-                    if payload is not None:
-                        hits[i] = payload
-            csp.set(hits=len(hits))
-        sweep_span.set(points=len(points), cache_hits=len(hits))
-        fresh = map_points_failsoft(
-            _run_scenario_point,
-            [(spec, p, r, seed)
-             for i, (p, r, seed) in enumerate(points) if i not in hits],
-            resolve_jobs(jobs),
-            retries=retries,
-            retry_backoff=retry_backoff,
-        )
-        profile = ScalingProfile(scale_name="p")
-        report = SweepFailureReport()
-        metric_acc: Dict[int, Dict[str, float]] = {}
-        metric_n: Dict[int, int] = {}
-        intervals: Dict[int, List[Dict[str, Any]]] = {}
-        for i, (p, r, seed) in enumerate(points):
-            if i in hits:
-                prof = profile_from_dict(hits[i]["profile"])
-                metrics = hits[i]["metrics"]
-                msg = hits[i]["msg"]
-                ivals = hits[i]["intervals"]
-            else:
-                out = next(fresh)
-                if not out.ok:
-                    failure = _to_failure(
-                        f"{spec.workload} p={p} rep={r}", out)
-                    if on_error == "raise":
-                        _raise_point(failure, out)
-                    report.add(failure)
-                    if progress is not None:
-                        progress(
-                            f"{spec.workload} p={p} rep={r}: FAILED "
-                            f"({failure.error_type}: {failure.message})"
-                        )
-                    continue
-                prof, metrics, msg, ivals = out.value
-                if cache is not None:
-                    cache.put(keys[i], {
-                        "profile": profile_to_dict(prof),
-                        "metrics": metrics,
-                        "msg": msg,
-                        "intervals": ivals,
-                    })
-            profile.add(p, prof)
-            intervals.setdefault(p, []).append(ivals)
-            acc = metric_acc.setdefault(p, {})
-            for name, value in metrics.items():
-                acc[name] = acc.get(name, 0.0) + float(value)
-            metric_n[p] = metric_n.get(p, 0) + 1
-            if progress is not None:
-                progress(msg)
-        profile.failures = report
-        metric_means = {
-            p: {name: total / metric_n[p] for name, total in acc.items()}
-            for p, acc in metric_acc.items()
+    points = []
+    for p in spec.process_counts:
+        for r in range(spec.reps):
+            seed = spec.base_seed + 1000 * p + r
+            points.append((f"{spec.workload} p={p} rep={r}", seed,
+                           (spec, p, r, seed)))
+    done, report = sweep_points(
+        spec.workload, points, _run_scenario_point,
+        key=lambda task: scenario_point_key(*task),
+        encode=lambda v, msg: {"profile": profile_to_dict(v[0]),
+                               "metrics": v[1], "msg": msg,
+                               "intervals": v[2]},
+        decode=lambda d: ((profile_from_dict(d["profile"]), d["metrics"],
+                           d["intervals"]), d["msg"]),
+        progress=progress, jobs=jobs, cache=cache, on_error=on_error,
+        retries=retries, retry_backoff=retry_backoff,
+        trace="sweep.scenario", reps=spec.reps,
+    )
+    profile = ScalingProfile(scale_name="p")
+    metric_acc: Dict[int, Dict[str, float]] = {}
+    metric_n: Dict[int, int] = {}
+    intervals: Dict[int, List[Dict[str, Any]]] = {}
+    for (_, p, _, _), (prof, metrics, ivals) in done:
+        profile.add(p, prof)
+        intervals.setdefault(p, []).append(ivals)
+        acc = metric_acc.setdefault(p, {})
+        for name, value in metrics.items():
+            acc[name] = acc.get(name, 0.0) + float(value)
+        metric_n[p] = metric_n.get(p, 0) + 1
+    profile.failures = report
+    metric_means = {
+        p: {name: total / metric_n[p] for name, total in acc.items()}
+        for p, acc in metric_acc.items()
+    }
+    return profile, metric_means, intervals
+
+
+def speedup_summary(profile: ScalingProfile) -> Dict[str, Any]:
+    """The ``summary`` block of a sweep result payload.
+
+    Scales, per-scale speedup and the sequential time; the latter two
+    are ``None`` when a fail-soft sweep lost the p=1 reference runs.
+    Shared by :func:`scenario_payload` and the service's convolution
+    jobs.
+    """
+    summary: Dict[str, Any] = {"scales": profile.scales()}
+    try:
+        summary["speedup"] = {
+            str(p): profile.speedup(p) for p in profile.scales()
         }
-        return profile, metric_means, intervals
+        summary["sequential_time"] = profile.sequential_time()
+    except ReproError:
+        summary["speedup"] = None
+        summary["sequential_time"] = None
+    return summary
 
 
 def scenario_payload(
@@ -241,18 +205,8 @@ def scenario_payload(
     the spec's ``timeline`` window configuration.  Virtual-time inputs
     make both blocks bit-identical across engines and tracing modes.
     """
-    from repro.errors import ReproError
-    from repro.service.jobs import JOB_SCHEMA_VERSION, _failures_payload
+    from repro.service.jobs import JOB_SCHEMA_VERSION
 
-    summary: Dict[str, Any] = {"scales": profile.scales()}
-    try:  # fail-soft sweeps may have lost the p=1 reference runs
-        summary["speedup"] = {
-            str(p): profile.speedup(p) for p in profile.scales()
-        }
-        summary["sequential_time"] = profile.sequential_time()
-    except ReproError:
-        summary["speedup"] = None
-        summary["sequential_time"] = None
     intervals = intervals or {}
     timeline = scenario_timeline(
         intervals, WindowConfig.from_dict(spec.timeline)
@@ -265,8 +219,9 @@ def scenario_payload(
         "profile_json": scaling_to_json(profile),
         "metrics": {str(p): dict(sorted(m.items()))
                     for p, m in sorted(metrics.items())},
-        "failures": _failures_payload(profile.failures),
-        "summary": summary,
+        "failures": (profile.failures.to_payload()
+                     if profile.failures is not None else []),
+        "summary": speedup_summary(profile),
         "intervals": {str(p): recs
                       for p, recs in sorted(intervals.items())},
         "timeline": timeline,

@@ -434,22 +434,6 @@ def build_sweep(spec: JobSpec):
 # Execution (spec → result payload)
 # ---------------------------------------------------------------------------
 
-def _failures_payload(report) -> List[Dict[str, Any]]:
-    """Serialise a fail-soft sweep's failure report (empty when clean)."""
-    if not report:
-        return []
-    return [
-        {
-            "label": f.label,
-            "error_type": f.error_type,
-            "message": f.message,
-            "attempts": f.attempts,
-            "worker_died": f.worker_died,
-        }
-        for f in report
-    ]
-
-
 def hybrid_to_points(analysis) -> List[Dict[str, Any]]:
     """Canonical JSON form of a :class:`~repro.core.analysis.HybridAnalysis`.
 
@@ -483,7 +467,11 @@ def execute_job(
     the scheduler turns them into failed-job records.
     """
     from repro.harness.runner import run_convolution_sweep, run_lulesh_grid
-    from repro.harness.scenario import run_scenario, scenario_payload
+    from repro.harness.scenario import (
+        run_scenario,
+        scenario_payload,
+        speedup_summary,
+    )
 
     sweep_jobs = spec.jobs if spec.jobs is not None else jobs
     if spec.kind == "scenario":
@@ -507,21 +495,12 @@ def execute_job(
             on_error=spec.on_error,
             retries=spec.retries,
         )
-        summary: Dict[str, Any] = {"scales": profile.scales()}
-        try:  # fail-soft sweeps may have lost the p=1 reference runs
-            summary["speedup"] = {
-                str(p): profile.speedup(p) for p in profile.scales()
-            }
-            summary["sequential_time"] = profile.sequential_time()
-        except ReproError:
-            summary["speedup"] = None
-            summary["sequential_time"] = None
         return {
             "kind": "convolution",
             "schema": JOB_SCHEMA_VERSION,
             "profile_json": scaling_to_json(profile),
-            "failures": _failures_payload(profile.failures),
-            "summary": summary,
+            "failures": profile.failures.to_payload(),
+            "summary": speedup_summary(profile),
         }
 
     sweep, sides = build_sweep(spec)
@@ -544,6 +523,6 @@ def execute_job(
         "schema": JOB_SCHEMA_VERSION,
         "points": hybrid_to_points(analysis),
         "drifts": {f"{p},{t}": d for (p, t), d in sorted(drifts.items())},
-        "failures": _failures_payload(analysis.failures),
+        "failures": analysis.failures.to_payload(),
         "summary": summary,
     }

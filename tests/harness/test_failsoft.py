@@ -15,8 +15,10 @@ from repro.harness.failures import (
 )
 from repro.harness.parallel import map_points_failsoft
 from repro.harness.runner import run_convolution_sweep, run_lulesh_grid
+from repro.harness.scenario import run_scenario
 from repro.harness.sweeps import ConvolutionSweep, LuleshGridSweep
 from repro.machine.catalog import knl_node, nehalem_cluster
+from repro.scenarios import ScenarioSpec
 from repro.workloads.convolution import ConvolutionConfig
 from repro.workloads.lulesh import LuleshConfig
 
@@ -32,6 +34,48 @@ def _sweep(**overrides):
     )
     kwargs.update(overrides)
     return ConvolutionSweep(**kwargs)
+
+
+# Each entry point on a three-point sweep whose last point crashes (the
+# crashed rank is out of range at the two smaller scales), returning the
+# failure report; parametrised with the label of the crashed point.
+def _conv_crash(**kw):
+    return run_convolution_sweep(_sweep(faults=CRASH_P4), **kw).failures
+
+
+def _lulesh_crash_sweep():
+    return LuleshGridSweep(
+        config=LuleshConfig(s=4, steps=2),
+        machine=knl_node(jitter=0.0),
+        grid={1: (1, 2), 8: (1,)},
+        reps=1,
+        faults=FaultPlan((RankCrash(rank=1, at_time=0.0),)),
+    )
+
+
+def _lulesh_crash(**kw):
+    return run_lulesh_grid(_lulesh_crash_sweep(), **kw)[0].failures
+
+
+def _scenario_crash(**kw):
+    spec = ScenarioSpec.from_dict({
+        "workload": "taskfarm",
+        "params": {"ntasks": 24, "task_flops": 1e5},
+        "machine": {"name": "laptop", "cores": 4},
+        "process_counts": [1, 2, 4],
+        "reps": 1,
+        "base_seed": 7,
+        "faults": {"seed": 1,
+                   "faults": [{"kind": "crash", "rank": 3, "at_time": 0.0}]},
+    })
+    return run_scenario(spec, **kw)[0].failures
+
+
+CRASHING_SWEEPS = pytest.mark.parametrize("run, crashed", [
+    (_conv_crash, "convolution p=4 rep=0"),
+    (_lulesh_crash, "lulesh p=8 t=1 rep=0"),
+    (_scenario_crash, "taskfarm p=4 rep=0"),
+], ids=["convolution", "lulesh", "scenario"])
 
 
 # -- map_points_failsoft -----------------------------------------------------
@@ -143,16 +187,15 @@ def test_skip_mode_completes_and_reports_the_crashed_point():
     assert failure.error_type == "RankFailedError"
 
 
-def test_skip_mode_never_caches_failed_points(tmp_path):
+@CRASHING_SWEEPS
+def test_skip_mode_never_caches_failed_points(tmp_path, run, crashed):
     cache = RunCache(root=tmp_path)
-    run_convolution_sweep(_sweep(faults=CRASH_P4), on_error="skip",
-                          cache=cache)
-    assert cache.stores == 2  # p=1 and p=2 only; the crashed point is absent
+    run(on_error="skip", cache=cache)
+    assert cache.stores == 2  # the two survivors only; the crash is absent
     # A warm re-run replays the successes and re-attempts only the crash.
-    profile = run_convolution_sweep(_sweep(faults=CRASH_P4), on_error="skip",
-                                    cache=cache)
+    failures = run(on_error="skip", cache=cache)
     assert cache.hits == 2 and cache.stores == 2
-    assert len(profile.failures) == 1
+    assert [f.label for f in failures] == [crashed]
 
 
 def test_raise_mode_reraises_the_original_error():
@@ -173,13 +216,13 @@ def test_clean_sweep_has_empty_failure_report():
     assert profile.failures is not None and not profile.failures
 
 
-def test_progress_lines_mark_failed_points():
+@CRASHING_SWEEPS
+def test_progress_lines_mark_failed_points(run, crashed):
     lines = []
-    run_convolution_sweep(_sweep(faults=CRASH_P4), on_error="skip",
-                          progress=lines.append)
-    failed = [ln for ln in lines if "FAILED" in ln]
-    assert len(failed) == 1
-    assert "p=4" in failed[0] and "RankFailedError" in failed[0]
+    run(on_error="skip", progress=lines.append)
+    assert len(lines) == 3
+    assert lines[-1].startswith(f"{crashed}: FAILED (RankFailedError: ")
+    assert not any("FAILED" in ln for ln in lines[:-1])
 
 
 def test_unknown_on_error_rejected():
@@ -191,14 +234,7 @@ def test_unknown_on_error_rejected():
 
 
 def test_lulesh_skip_mode_reports_and_continues():
-    sweep = LuleshGridSweep(
-        config=LuleshConfig(s=4, steps=2),
-        machine=knl_node(jitter=0.0),
-        grid={1: (1, 2), 8: (1,)},
-        reps=1,
-        faults=FaultPlan((RankCrash(rank=1, at_time=0.0),)),
-    )
-    analysis, drifts = run_lulesh_grid(sweep, on_error="skip")
+    analysis, drifts = run_lulesh_grid(_lulesh_crash_sweep(), on_error="skip")
     # Only the p=8 point sees rank 1 and dies.
     assert analysis.process_counts() == [1]
     assert len(analysis.failures) == 1

@@ -16,7 +16,7 @@ import os
 import pytest
 
 from repro import obs
-from repro.harness.parallel import map_points, map_points_failsoft
+from repro.harness.parallel import map_points_failsoft
 from repro.service.api import ServiceApp
 from tests.service.conftest import tiny_conv_spec
 
@@ -35,8 +35,10 @@ def _traced_pid(task):
 
 def test_map_points_stitches_worker_spans_into_parent_trace():
     tracer = obs.start_trace("root", layer="test")
-    pids = list(map_points(_traced_pid, list(range(6)), jobs=2))
+    outcomes = list(map_points_failsoft(_traced_pid, list(range(6)), jobs=2))
     obs.finish_trace()
+    assert all(o.ok for o in outcomes)
+    pids = [o.value for o in outcomes]
     assert len(set(pids) - {os.getpid()}) >= 1  # really ran out of process
     spans = tracer.spans()
     assert len({s.trace_id for s in spans}) == 1
@@ -48,18 +50,28 @@ def test_map_points_stitches_worker_spans_into_parent_trace():
                for s in worker_spans)
 
 
+def _traced_fail(task):
+    with obs.span("point.pid", layer="test", task=task):
+        raise RuntimeError(f"point {task} failed")
+
+
 def test_map_points_failsoft_propagates_too():
+    """Failed points' worker spans come home too, marked as failed."""
     tracer = obs.start_trace("root", layer="test")
-    outcomes = list(map_points_failsoft(_traced_pid, list(range(4)), jobs=2))
+    outcomes = list(map_points_failsoft(_traced_fail, list(range(4)), jobs=2))
     obs.finish_trace()
-    assert all(o.ok for o in outcomes)
-    worker_spans = [s for s in tracer.spans() if s.pid != os.getpid()]
-    assert any(s.name == "worker.task" for s in worker_spans)
+    assert not any(o.ok for o in outcomes)
+    spans = tracer.spans()
+    assert len({s.trace_id for s in spans}) == 1
+    tasks = [s for s in spans
+             if s.pid != os.getpid() and s.name == "worker.task"]
+    assert len(tasks) == 4
+    assert all(s.attrs.get("failed") == "RuntimeError" for s in tasks)
 
 
 def test_untraced_map_points_emits_nothing():
-    pids = list(map_points(_traced_pid, list(range(4)), jobs=2))
-    assert len(pids) == 4
+    outcomes = list(map_points_failsoft(_traced_pid, list(range(4)), jobs=2))
+    assert len(outcomes) == 4 and all(o.ok for o in outcomes)
     assert obs.current_tracer() is None
 
 
