@@ -35,6 +35,15 @@ from repro.harness.cache import RunCache, run_key
 from repro.harness.parallel import sweep_points
 from repro.scenarios import ScenarioSpec
 
+#: Schema of the result payloads built here and by the service's job
+#: runner, which also hashes it into every job key.  Bump when the
+#: normalised work layout (and therefore job keys) or the result payload
+#: layout changes; old registry records become invisible.
+#: v2: scenario work dicts carry the canonical ``timeline`` window block
+#: and scenario payloads gain ``intervals`` + ``timeline`` (the
+#: time-resolved efficiency analytics of :mod:`repro.analysis`).
+JOB_SCHEMA_VERSION = 2
+
 
 def scenario_point_key(spec: ScenarioSpec, p: int, rep: int, seed: int) -> str:
     """Run-cache key of one scenario point.
@@ -205,8 +214,6 @@ def scenario_payload(
     the spec's ``timeline`` window configuration.  Virtual-time inputs
     make both blocks bit-identical across engines and tracing modes.
     """
-    from repro.service.jobs import JOB_SCHEMA_VERSION
-
     intervals = intervals or {}
     timeline = scenario_timeline(
         intervals, WindowConfig.from_dict(spec.timeline)

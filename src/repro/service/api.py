@@ -44,7 +44,8 @@ from repro.service.jobs import JobSpec, JobSpecError, parse_job_spec
 from repro.service.journal import JobJournal
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import (ClientLimitError, Job, JobQueue,
-                                 QueueFullError, TERMINAL_STATES)
+                                 QueueFullError, TERMINAL_STATES,
+                                 progress_chunk)
 from repro.service.registry import ExperimentRegistry
 from repro.service.scheduler import Scheduler
 from repro.service.supervisor import WorkerSupervisor
@@ -384,7 +385,8 @@ class ServiceApp:
         if record is None:
             return _error(404, f"no job {key}")
         summary = {
-            k: v for k, v in record.items() if k not in ("result", "trace")
+            k: v for k, v in record.items()
+            if k not in ("result", "trace", "progress")
         }
         summary["job_id"] = key
         summary["has_trace"] = "trace" in record
@@ -440,10 +442,10 @@ class ServiceApp:
             record = self.registry.get(key)
             if record is None:
                 return _error(404, f"no job {key}")
-            return _json_response(200, {
-                "lines": [], "next": after,
-                "done": record.get("status") not in ("queued", "running"),
-            })
+            log = record.get("progress") or {"dropped": 0, "lines": []}
+            return _json_response(200, progress_chunk(
+                log["lines"], log["dropped"], after,
+                record.get("status") not in ("queued", "running")))
         if wait > 0:
             deadline = time.time() + wait
             while time.time() < deadline:

@@ -36,6 +36,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.export import profile_to_dict, scaling_to_json
 from repro.errors import EngineStateError, ReproError
 from repro.faults.plan import FaultPlan, FaultPlanError
+from repro.harness.scenario import JOB_SCHEMA_VERSION
 from repro.harness.sweeps import ConvolutionSweep, LuleshGridSweep
 from repro.machine.catalog import broadwell_duo, knl_node, laptop, nehalem_cluster
 from repro.machine.spec import MachineSpec
@@ -43,13 +44,6 @@ from repro.scenarios import ScenarioSpec, ScenarioSpecError
 from repro.simmpi.engine import engine_mode
 from repro.workloads.convolution import ConvolutionConfig
 from repro.workloads.lulesh import LuleshConfig
-
-#: Bump when the normalised work layout (and therefore job keys) or the
-#: result payload layout changes; old registry records become invisible.
-#: v2: scenario work dicts carry the canonical ``timeline`` window block
-#: and scenario payloads gain ``intervals`` + ``timeline`` (the
-#: time-resolved efficiency analytics of :mod:`repro.analysis`).
-JOB_SCHEMA_VERSION = 2
 
 #: Job kinds the service can execute.  ``scenario`` runs any registered
 #: workload plugin through a declarative :class:`~repro.scenarios.ScenarioSpec`.

@@ -30,7 +30,9 @@ input kills worker processes".
 
 Every job carries its own ordered progress log (the runner's
 ``progress`` lines) and a :class:`threading.Event` that waiters block
-on, which is what keeps clients from hanging when a job fails.
+on, which is what keeps clients from hanging when a job fails.  The
+log is stored with the job's registry records, so it is still served
+once the queue has forgotten the job.
 """
 
 from __future__ import annotations
@@ -59,6 +61,18 @@ class QueueFullError(ReproError):
 
 class ClientLimitError(ReproError):
     """The submitting client already has its maximum jobs in flight."""
+
+
+def progress_chunk(lines: List[str], dropped: int, after: int,
+                   done: bool) -> Dict[str, Any]:
+    """``{"lines", "next", "done"}``: a progress log past cursor ``after``.
+
+    ``lines`` is the retained log once its ``dropped`` oldest lines fell
+    off the cap; cursors count lines from the start of the whole log.
+    """
+    start = max(0, after - dropped)
+    return {"lines": lines[start:], "next": dropped + len(lines),
+            "done": done}
 
 
 class Job:
@@ -164,12 +178,18 @@ class Job:
         a cursor and stop once the job is terminal.
         """
         with self._lock:
-            base = self._progress_dropped
-            start = max(0, after - base)
-            lines = list(self._progress[start:])
-            nxt = base + len(self._progress)
-            done = self.state in TERMINAL_STATES
-        return {"lines": lines, "next": nxt, "done": done}
+            return progress_chunk(self._progress, self._progress_dropped,
+                                  after, self.state in TERMINAL_STATES)
+
+    def progress_log(self) -> Dict[str, Any]:
+        """The retained progress lines and how many older ones were dropped.
+
+        Stored with the job's registry record, so the lines outlive the
+        job's place in the queue.
+        """
+        with self._lock:
+            return {"dropped": self._progress_dropped,
+                    "lines": list(self._progress)}
 
     # -- queries ------------------------------------------------------------
 

@@ -43,6 +43,9 @@ logger = logging.getLogger(__name__)
 #: v2: checksummed envelope — corrupt records are detected and evicted.
 #: v3: the shared run-cache envelope (checksum over the stored record
 #: bytes, record under ``payload``), stored under ``v3/``.
+#: A record's ``progress`` field (the job's capped progress log) is not
+#: a layout change: it is optional, and a record without it serves an
+#: empty log, as every record did before the field existed.
 REGISTRY_SCHEMA_VERSION = 3
 
 
@@ -94,6 +97,8 @@ class ExperimentRegistry:
         record **before** flipping the in-memory state: any observer
         that sees a terminal status is then guaranteed to find the
         matching registry record (no done-but-not-yet-persisted window).
+        The record carries the job's progress log as it stands, so the
+        terminal record keeps every line the job's stream served.
         """
         snap = job.snapshot()
         status = status if status is not None else snap["status"]
@@ -112,6 +117,7 @@ class ExperimentRegistry:
             "duration": duration,
             "error": error,
             "result": result,
+            "progress": job.progress_log(),
         }
 
     # -- storage -------------------------------------------------------------

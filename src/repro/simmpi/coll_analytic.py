@@ -250,10 +250,18 @@ class CollectiveGate:
                 return self._finish_fast(entry, rank)
             return (yield from self._g_run_threaded(entry, comm))
         # Last arrival: release (or resolve) the whole invocation.  An
-        # active FaultPlan forces the message path — hang/crash delivery
-        # points inside the pattern must fire on the owning rank's own
-        # scheduling slot, which a batched replay cannot honour.
+        # alltoall sends on every ordered pair of ranks, so its channels
+        # are opened in one batch first (unobservable: see
+        # NetworkModel.open_channels).  An active FaultPlan forces the
+        # message path — hang/crash delivery points inside the pattern
+        # must fire on the owning rank's own scheduling slot, which a
+        # batched replay cannot honour.
         engine = self.engine
+        if kind == "alltoall":
+            ranks = range(entry.size)
+            engine.network.open_channels(
+                [src for src in ranks for _ in ranks],
+                [dst for _ in ranks for dst in ranks])
         if engine.coll_analytic and engine._faults is None:
             entry.mode = "fast"
             if kind != "allreduce" or not _flat_allreduce(engine, entry):

@@ -46,6 +46,19 @@ would produce, consumed in the same blocks, while a channel costs a few
 Python integers instead of NumPy objects, and all of it is freed with
 the model.
 
+A channel opens lazily, on its first draw, or in a batch:
+:meth:`NetworkModel.open_channels` derives the seeds of up to
+``_OPEN_CHUNK`` channels in one ``uint64`` NumPy pass (every step of
+the hash is 32-bit masked arithmetic, so it is exact), draws each
+channel's first block through the shared generator as above, and
+computes all their factors in one more pass.  The collective gate
+calls it for every world all-to-all, whose p·(p−1) channels would
+otherwise each pay the per-channel Python overhead of a lazy first
+draw.  Opening is unobservable: a stream depends only on the seed and
+its two ranks, never on when it starts, channels already open are left
+as they are, and no traffic counter, port or fault state changes.  A
+batch record is therefore the one lazy opening would have built.
+
 The accumulated jitter over many halo exchanges is what reproduces the
 noisy, rising HALO totals of Figure 5(b) in the paper.
 """
@@ -53,7 +66,7 @@ noisy, rising HALO totals of Figure 5(b) in the paper.
 from __future__ import annotations
 
 import operator
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -64,6 +77,11 @@ from repro.machine.spec import MachineSpec, NetworkTier
 #: definition — it fixes how the channel's RNG stream is consumed, so it
 #: must never vary with workload or transport.
 _FACTOR_BLOCK = 32
+
+#: Channels :meth:`NetworkModel.open_channels` derives and draws per
+#: NumPy pass; bounds the pass's temporaries (an all-to-all at p=256
+#: opens 65,280 channels).
+_OPEN_CHUNK = 1024
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -109,20 +127,36 @@ def _mix(x: int, y: int) -> int:
     return r ^ (r >> 16)
 
 
+def _rank_word_error(word: int) -> ValueError:
+    return ValueError(
+        f"channel rank word {word} does not fit in 32 bits; SeedSequence "
+        "would split it into several words, which this derivation does "
+        "not model")
+
+
 def _absorb(pool: List[int], word: int, consts: _Consts) -> List[int]:
     """Mix one entropy word beyond the pool size into every pool word.
 
-    ``_mix(x, _hashmix(word, xor, mul))`` per pool word, written out
-    because it runs once per channel.
+    ``_mix(x, _hashmix(word, xor, mul))`` per pool word, after checking
+    that the word is one 32-bit SeedSequence word.
     """
     if not 0 <= word <= _MASK32:
-        raise ValueError(
-            f"channel rank word {word} does not fit in 32 bits; SeedSequence "
-            "would split it into several words, which this derivation does "
-            "not model")
+        raise _rank_word_error(word)
+    return _absorb_words(pool, word, consts)
+
+
+def _absorb_words(pool, words, consts: _Consts) -> list:
+    """:func:`_absorb` without the check, written out for speed.
+
+    ``words`` is one 32-bit word or a ``uint64`` vector of them, one per
+    channel, and each pool word an int or a ``uint64`` vector aligned
+    with it.  Every product of two 32-bit values fits in 64 bits and the
+    difference is masked to 32, so wrap-around ``uint64`` arithmetic is
+    exact.
+    """
     out = []
     for x, (xor, mul) in zip(pool, consts):
-        h = ((word ^ xor) * mul) & _MASK32
+        h = ((words ^ xor) * mul) & _MASK32
         r = (_MIX_MULT_L * x - _MIX_MULT_R * (h ^ (h >> 16))) & _MASK32
         out.append(r ^ (r >> 16))
     return out
@@ -167,14 +201,52 @@ def _pcg64_seed(pool: List[int]) -> Tuple[int, int]:
     followed by PCG64's set-seq seeding: ``inc = initseq << 1 | 1``, then
     one LCG step from zero, add ``initstate``, one more step.
     """
+    w = _output_words(pool)
+    return _pcg64_set_seq(w[0] | w[1] << 32, w[2] | w[3] << 32,
+                          w[4] | w[5] << 32, w[6] | w[7] << 32)
+
+
+def _pcg64_seed_rows(pool: list) -> List[Tuple[int, int]]:
+    """:func:`_pcg64_seed` of every channel whose pool words are vectors."""
+    w = _output_words(pool)
+    return list(map(_pcg64_set_seq, (w[0] | w[1] << 32).tolist(),
+                    (w[2] | w[3] << 32).tolist(),
+                    (w[4] | w[5] << 32).tolist(),
+                    (w[6] | w[7] << 32).tolist()))
+
+
+def _output_words(pool: list) -> list:
+    """The 8 words ``generate_state(4, uint64)`` hashes out of a pool."""
     w = []
     for x, (xor, mul) in zip(pool + pool, _OUT_CONSTS):
         v = ((x ^ xor) * mul) & _MASK32
         w.append(v ^ (v >> 16))
-    initstate = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
-    initseq = (w[4] | w[5] << 32) << 64 | w[6] | w[7] << 32
-    inc = (initseq << 1 | 1) & _MASK128
-    return ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, inc
+    return w
+
+
+def _pcg64_set_seq(state_hi: int, state_lo: int, seq_hi: int,
+                   seq_lo: int) -> Tuple[int, int]:
+    """PCG64's set-seq seeding from the 64-bit halves of its two inputs."""
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+    return ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _block_factors(z, u, jitter, spike_prob, spike_scale) -> np.ndarray:
+    """Jitter factors of drawn blocks: ``exp(jitter * z)``, spiked where
+    ``u < spike_prob``.
+
+    ``z`` and ``u`` hold a block's standard normals and uniforms (zeros
+    where the tier draws none; ``u`` may be None for a tier without
+    spikes); the tier parameters are scalars for one block or columns
+    for a stack of them.  Every operation is elementwise, so a row's
+    factors do not depend on the rows beside it.
+    """
+    factors = np.exp(z * jitter)
+    if u is not None:
+        spiked = u < spike_prob
+        if np.count_nonzero(spiked):
+            factors = np.where(spiked, factors * spike_scale, factors)
+    return factors
 
 
 class MessageTiming(NamedTuple):
@@ -282,33 +354,103 @@ class NetworkModel:
         ``_FACTOR_BLOCK`` amortises the RNG-call overhead over the whole
         block while staying bit-reproducible: for a given seed the
         channel's stream is consumed identically no matter which
-        transport draws the message.  The block is drawn through the
-        model's one bit generator with the channel's state swapped in;
-        ``normal`` and ``random`` consume whole 64-bit outputs, so
-        ``(state, inc)`` is the stream's entire position.
+        transport draws the message.
         """
         if chan[1] is None:
             chan[1], chan[2] = self._channel_seed(src, dst)
-        bitgen, rng = self._bitgen, self._stream_rng
-        bitgen.state = {"bit_generator": "PCG64",
-                        "state": {"state": chan[1], "inc": chan[2]},
-                        "has_uint32": 0, "uinteger": 0}
         tier = chan[0]
-        if tier.jitter > 0.0:
-            factors = np.exp(rng.normal(0.0, tier.jitter, _FACTOR_BLOCK))
-        else:
-            factors = np.ones(_FACTOR_BLOCK)
-        if tier.spike_prob > 0.0:
-            u = rng.random(_FACTOR_BLOCK)
-            if u.min() < tier.spike_prob:
-                factors = np.where(u < tier.spike_prob,
-                                   factors * tier.spike_scale, factors)
-        chan[1] = bitgen.state["state"]["state"]
-        buf = chan[3] = factors.tolist()
+        z = np.zeros(_FACTOR_BLOCK)
+        u = np.zeros(_FACTOR_BLOCK) if tier.spike_prob > 0.0 else None
+        chan[1] = self._draw_block(chan[1], chan[2], tier, z, u)
+        buf = chan[3] = _block_factors(
+            z, u, tier.jitter, tier.spike_prob, tier.spike_scale).tolist()
         chan[4] = 0
         return buf
 
+    def _draw_block(self, state: int, inc: int, tier: NetworkTier,
+                    z: np.ndarray, u: np.ndarray | None) -> int:
+        """Draw one block of a channel's stream; return its advanced state.
+
+        The stream format: ``_FACTOR_BLOCK`` standard normals into ``z``
+        when the tier has jitter, then as many uniforms into ``u`` when it
+        has spikes.  They are drawn through the model's one bit generator
+        with the channel's state swapped in; ``standard_normal`` and
+        ``random`` consume whole 64-bit outputs, so ``(state, inc)`` is
+        the stream's entire position.
+        """
+        bitgen, rng = self._bitgen, self._stream_rng
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        if tier.jitter > 0.0:
+            rng.standard_normal(out=z)
+        if tier.spike_prob > 0.0:
+            rng.random(out=u)
+        return bitgen.state["state"]["state"]
+
+    def _open_chunk(self, keys: List[Tuple[int, int]]) -> None:
+        """Open the given new, non-self channels (see :meth:`open_channels`)."""
+        machine, rpn = self.machine, self.ranks_per_node
+        node = {r: machine.node_of_rank(r, rpn)
+                for r in {r for key in keys for r in key}}
+        tiers = (machine.intra_node, machine.inter_node)
+        noisy = [t.jitter > 0.0 or t.spike_prob > 0.0 for t in tiers]
+        cache = self._chan_cache
+        drawn, tier_of = [], []
+        for key in keys:
+            i = node[key[0]] != node[key[1]]
+            if noisy[i]:
+                drawn.append(key)
+                tier_of.append(i)
+            else:
+                cache[key] = [tiers[i], None, 0, (), 0]
+        if not drawn:
+            return
+        words = np.array(drawn, np.uint64) + 1
+        pool = _absorb_words(self._seed_pool, words[:, 0], self._src_consts)
+        pool = _absorb_words(pool, words[:, 1], self._dst_consts)
+        seeds, incs = zip(*_pcg64_seed_rows(pool))
+        chan_tiers = [tiers[i] for i in tier_of]
+        z = np.zeros((len(drawn), _FACTOR_BLOCK))
+        u = np.zeros((len(drawn), _FACTOR_BLOCK))
+        states = list(map(self._draw_block, seeds, incs, chan_tiers, z, u))
+        params = np.array([[t.jitter, t.spike_prob, t.spike_scale]
+                           for t in tiers])[np.array(tier_of, np.intp)]
+        blocks = _block_factors(z, u, params[:, 0:1], params[:, 1:2],
+                                params[:, 2:3]).tolist()
+        for key, tier, state, inc, buf in zip(drawn, chan_tiers, states, incs,
+                                              blocks):
+            cache[key] = [tier, state, inc, buf, 0]
+
     # -- public API ------------------------------------------------------------
+
+    def open_channels(self, srcs: Iterable[int], dsts: Iterable[int]) -> None:
+        """Open the ``srcs[i] -> dsts[i]`` channels in batches.
+
+        Each channel ends up exactly as :meth:`draw` opens it lazily:
+        its tier, and for a noisy tier its first block of factors drawn
+        with the stream's state advanced past it.  What a batch saves is
+        per-channel overhead: the seeds of up to ``_OPEN_CHUNK`` channels
+        are derived in one NumPy pass and their factors computed in one
+        more.  Self-pairs, repeated pairs and channels already open are
+        skipped, so a channel that has carried traffic is never touched.
+
+        Opening is unobservable: it changes no traffic counter, port
+        frontier or fault state, and a channel's stream depends only on
+        the seed and its two ranks, never on when the stream starts.
+
+        Raises :class:`ValueError`, before opening anything, when a rank
+        word (rank + 1) does not fit in 32 bits.
+        """
+        cache = self._chan_cache
+        keys = [key for key in dict.fromkeys(zip(srcs, dsts))
+                if key[0] != key[1] and key not in cache]
+        for key in keys:
+            for rank in key:
+                if not 0 <= rank + 1 <= _MASK32:
+                    raise _rank_word_error(rank + 1)
+        for start in range(0, len(keys), _OPEN_CHUNK):
+            self._open_chunk(keys[start:start + _OPEN_CHUNK])
 
     def draw(self, src: int, dst: int, nbytes: int) -> Tuple[float, float]:
         """Draw ``(latency, transfer)`` for one ``nbytes`` message.

@@ -140,3 +140,39 @@ def test_jobs_listing_merges_live_and_stored(app):
     assert {j["job_id"] for j in listing["live"]} | {
         j["job_id"] for j in listing["stored"]
     } >= {job_id}
+
+
+def test_stored_progress_survives_a_restart(tmp_path):
+    """A new app on the same cache dir serves a finished job's lines from
+    its record; a record stored without a progress log serves none."""
+    import time
+
+    from repro.service.api import ServiceApp
+
+    cache_dir = tmp_path / "cache"
+    first = ServiceApp(cache_dir=cache_dir, workers=1)
+    first.start()
+    try:
+        job_id = _body(_post(first, tiny_conv_spec()))["job_id"]
+        for _ in range(600):
+            record = first.registry.get(job_id)
+            if record is not None and record["status"] == "done":
+                break
+            time.sleep(0.01)
+    finally:
+        first.close()
+    second = ServiceApp(cache_dir=cache_dir, workers=1)
+    try:
+        path = f"/api/v1/jobs/{job_id}/progress"
+        chunk = _body(second.handle("GET", path, {"after": "0"}))
+        assert chunk["next"] == 3 and chunk["done"] is True
+        assert [line.split(":")[0] for line in chunk["lines"]] == [
+            "convolution p=1 rep=0", "convolution p=2 rep=0",
+            "convolution p=4 rep=0"]
+        record = second.registry.get(job_id)
+        del record["progress"]
+        second.registry.put(record)
+        assert _body(second.handle("GET", path, {"after": "0"})) == {
+            "lines": [], "next": 0, "done": True}
+    finally:
+        second.close()

@@ -11,6 +11,7 @@ answered from the registry with zero simulations.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -134,6 +135,24 @@ def test_progress_streams_over_http(server):
     assert len(lines) == 3
     assert all(line.startswith("convolution p=") for line in lines)
     assert client.wait(job_id, timeout=60)["status"] == "done"
+
+
+def test_progress_streams_after_wait(server):
+    """A client that starts streaming once the job has finished, and the
+    queue has forgotten it, still reads every line from the record."""
+    client = ServiceClient(server.url)
+    job_id = client.submit(tiny_conv_spec())["job_id"]
+    assert client.wait(job_id, timeout=60)["status"] == "done"
+    deadline = time.monotonic() + 30
+    while server.app.queue.get(job_id) is not None:
+        assert time.monotonic() < deadline, "job never left the queue"
+        time.sleep(0.01)
+    lines = list(client.stream_progress(job_id, poll_wait=0.1))
+    assert len(lines) == 3
+    assert all(line.startswith("convolution p=") for line in lines)
+    tail = client.progress(job_id, after=2)
+    assert tail == {"lines": lines[2:], "next": 3, "done": True}
+    assert "progress" not in client.status(job_id)
 
 
 def test_metrics_scrape_is_nonzero_after_traffic(server):

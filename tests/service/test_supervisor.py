@@ -67,6 +67,31 @@ def test_process_mode_serves_byte_identical_results(tmp_path):
     assert results["thread"] == results["process"]
 
 
+def test_process_worker_progress_is_served_after_the_job(tmp_path):
+    """Lines a worker process streamed are stored with the terminal
+    record and served once the queue has forgotten the job."""
+    app = ServiceApp(cache_dir=tmp_path / "cache", workers=1,
+                     worker_mode="process")
+    app.start()
+    try:
+        _, receipt = _submit(app, tiny_conv_spec(base_seed=43))
+        key = receipt["job_id"]
+        assert _wait_done(app, key) == "done"
+        deadline = time.time() + 30
+        while app.queue.get(key) is not None:
+            assert time.time() < deadline, "job never left the queue"
+            time.sleep(0.01)
+        status, _, body = app.handle("GET", f"/api/v1/jobs/{key}/progress",
+                                     {"after": "1"})
+        chunk = json.loads(body)
+        assert status == 200
+        assert chunk["next"] == 3 and chunk["done"] is True
+        assert len(chunk["lines"]) == 2
+        assert all(line.startswith("convolution p=") for line in chunk["lines"])
+    finally:
+        app.close()
+
+
 def test_sigkilled_worker_is_replaced_and_job_requeued(process_app):
     app = process_app
     # big enough to still be running when the worker is shot

@@ -11,6 +11,7 @@ import dataclasses
 import gc
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -154,3 +155,90 @@ def test_channel_state_is_freed_with_the_model():
     alive = snapshot.filter_traces(
         [tracemalloc.Filter(True, network.__file__)]).statistics("lineno")
     assert alive == []
+
+
+# -- batch opening -------------------------------------------------------------
+
+OPEN_TIERS = {**TIERS, "neither": NetworkTier(latency=1e-6, bandwidth=1e9)}
+#: More than one block per channel.
+OPENED_DRAWS = _FACTOR_BLOCK + 9
+
+
+def two_tier_machine(intra, inter):
+    return dataclasses.replace(laptop(4), intra_node=OPEN_TIERS[intra],
+                               inter_node=OPEN_TIERS[inter])
+
+
+def transport_state(model):
+    return (model.messages, model.bytes, dict(model._port_free),
+            dict(model._in_port_free))
+
+
+rank = st.integers(0, 11)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**160)),
+       intra=st.sampled_from(sorted(OPEN_TIERS)),
+       inter=st.sampled_from(sorted(OPEN_TIERS)),
+       rpn=st.sampled_from([None, 1, 2, 3, 5]),
+       chunk=st.integers(1, 6),
+       pairs=st.lists(st.tuples(rank, rank), max_size=30),
+       warm=st.lists(st.tuples(rank, rank, st.integers(1, 2 * _FACTOR_BLOCK)),
+                     max_size=5))
+@example(seed=5, intra="jitter+spike", inter="jitter", rpn=2, chunk=3,
+         pairs=[(0, 1), (1, 0), (0, 0), (2, 3), (0, 1), (3, 2), (1, 2)],
+         warm=[(0, 1, 5), (2, 3, _FACTOR_BLOCK + 1)])
+def test_open_channels_matches_lazy_opening(seed, intra, inter, rpn, chunk,
+                                            pairs, warm):
+    machine = two_tier_machine(intra, inter)
+    batch, lazy = (NetworkModel(machine, seed=seed, ranks_per_node=rpn)
+                   for _ in range(2))
+    # Channels that already carry traffic, some past their first block.
+    for src, dst, n in warm:
+        for i in range(n):
+            timing = batch.draw(src, dst, 64)
+            assert timing == lazy.draw(src, dst, 64)
+            batch.route(src, dst, 1e-6 * i, *timing[::-1])
+            lazy.route(src, dst, 1e-6 * i, *timing[::-1])
+    before = {key: (chan, list(chan)) for key, chan in batch._chan_cache.items()}
+    state = transport_state(batch)
+    with mock.patch.object(network, "_OPEN_CHUNK", chunk):
+        batch.open_channels([s for s, _ in pairs], [d for _, d in pairs])
+    assert transport_state(batch) == state
+    for key, (chan, snapshot) in before.items():
+        assert batch._chan_cache[key] is chan and chan == snapshot
+    assert set(batch._chan_cache) == set(before) | {
+        (s, d) for s, d in pairs if s != d}
+    for src, dst in dict.fromkeys(pairs + [(s, d) for s, d, _ in warm]):
+        for _ in range(OPENED_DRAWS):
+            assert batch.draw(src, dst, 100) == lazy.draw(src, dst, 100)
+
+
+def test_open_channels_across_full_chunks():
+    """More pairs than one chunk holds, at the real chunk size."""
+    p = 40
+    assert p * (p - 1) > network._OPEN_CHUNK
+    machine = nehalem_cluster(nodes=5, jitter=0.1)
+    batch, lazy = (NetworkModel(machine, seed=2**64 + 5) for _ in range(2))
+    ranks = range(p)
+    batch.open_channels([s for s in ranks for _ in ranks],
+                        [d for _ in ranks for d in ranks])
+    assert len(batch._chan_cache) == p * (p - 1)
+    assert transport_state(batch) == (0, 0, {}, {})
+    for src in ranks:
+        for dst in ranks:
+            for _ in range(OPENED_DRAWS):
+                assert batch.draw(src, dst, 8) == lazy.draw(src, dst, 8)
+
+
+@pytest.mark.parametrize("src,dst", [(2**32 - 1, 0), (0, 2**32 - 1)])
+def test_open_channels_rejects_wide_rank_word_like_lazy_opening(src, dst):
+    model = NetworkModel(nehalem_cluster(nodes=2, jitter=0.1), seed=1)
+    with pytest.raises(ValueError) as lazy:
+        model._channel_seed(src, dst)
+    with pytest.raises(ValueError) as batch:
+        model.open_channels([0, src], [1, dst])
+    assert str(batch.value) == str(lazy.value)
+    assert "does not fit in 32 bits" in str(batch.value)
+    assert model._chan_cache == {}
