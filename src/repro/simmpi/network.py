@@ -37,27 +37,36 @@ first, so the seed's part of the pool is mixed once per model and the
 ``src + 1`` absorption once per source rank; a channel pays for the
 ``dst + 1`` absorption and the output hash only.
 
-Each model owns a single PCG64 bit generator.  To draw a channel's next
-block of factors, the channel's saved state is swapped into it, the
-block is drawn exactly as from a dedicated generator, and the advanced
-state is saved back in the channel record.  Every channel's stream is
+Each model owns a single PCG64 bit generator and a writable 32-byte
+view of its C ``pcg64_random_t {state, inc}``, reached through NumPy's
+public ctypes interface (``bitgen.ctypes.state_address``).  A channel
+record keeps its stream position as a 32-byte blob in exactly that
+memory layout.  To draw the channel's next block of factors, the blob
+is copied into the generator, the block is drawn exactly as from a
+dedicated generator, and the advanced position is read back as bytes:
+no state dict is built or parsed.  The layout is the one NumPy was
+compiled with — native ``__uint128_t`` words (low, high) or the
+emulated ``{high, low}`` struct — and each model probes it once,
+setting a known state through the public setter and reading it back
+through the view; any other layout raises.  Every channel's stream is
 therefore bit-for-bit the one its own SeedSequence-seeded generator
-would produce, consumed in the same blocks, while a channel costs a few
-Python integers instead of NumPy objects, and all of it is freed with
-the model.
+would produce, consumed in the same blocks, while a channel costs a
+bytes object instead of NumPy objects, and all of it is freed with the
+model.
 
 A channel opens lazily, on its first draw, or in a batch:
-:meth:`NetworkModel.open_channels` derives the seeds of up to
-``_OPEN_CHUNK`` channels in one ``uint64`` NumPy pass (every step of
-the hash is 32-bit masked arithmetic, so it is exact), draws each
-channel's first block through the shared generator as above, and
-computes all their factors in one more pass.  The collective gate
-calls it for every world all-to-all, whose p·(p−1) channels would
-otherwise each pay the per-channel Python overhead of a lazy first
-draw.  Opening is unobservable: a stream depends only on the seed and
-its two ranks, never on when it starts, channels already open are left
-as they are, and no traffic counter, port or fault state changes.  A
-batch record is therefore the one lazy opening would have built.
+:meth:`NetworkModel.open_channels` derives the positions of up to
+``_OPEN_CHUNK`` channels in ``uint64`` NumPy passes — the hash is
+32-bit masked arithmetic, and PCG64's 128-bit set-seq step is written
+in 64-bit words with explicit carries — draws each channel's first
+block through the shared generator as above, and computes all their
+factors in one more pass.  The collective gate calls it for every
+world all-to-all, whose p·(p−1) channels would otherwise each pay the
+per-channel Python overhead of a lazy first draw.  Opening is
+unobservable: a stream depends only on the seed and its two ranks,
+never on when it starts, channels already open are left as they are,
+and no traffic counter, port or fault state changes.  A batch record is
+therefore the one lazy opening would have built.
 
 The accumulated jitter over many halo exchanges is what reproduces the
 noisy, rising HALO totals of Figure 5(b) in the paper.
@@ -65,7 +74,9 @@ noisy, rising HALO totals of Figure 5(b) in the paper.
 
 from __future__ import annotations
 
+import ctypes
 import operator
+import struct
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
@@ -84,7 +95,25 @@ _FACTOR_BLOCK = 32
 _OPEN_CHUNK = 1024
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
+
+#: A stream position: NumPy's ``pcg64_random_t {state, inc}``, two
+#: 128-bit integers held as four native-endian 64-bit words.  The ctypes
+#: types are built here, once: ctypes caches array types, and the
+#: function-pointer types NumPy's ctypes interface builds on its first
+#: use, for the life of the process, so a model must not be the first
+#: to build them.
+_POSITION_BYTES = 32
+_Position = ctypes.c_ubyte * _POSITION_BYTES
+_WORDS = struct.Struct("=4Q")
+np.random.PCG64(0).ctypes
+
+#: Set through the public setter to probe the layout; every word differs.
+_PROBE_STATE = {"bit_generator": "PCG64",
+                "state": {"state": 0x0123456789ABCDEF_FEDCBA9876543210,
+                          "inc": 0x1111222233334444_5555666677778889},
+                "has_uint32": 0, "uinteger": 0}
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx, NEP 19).
 _POOL_SIZE = 4
@@ -206,13 +235,23 @@ def _pcg64_seed(pool: List[int]) -> Tuple[int, int]:
                           w[4] | w[5] << 32, w[6] | w[7] << 32)
 
 
-def _pcg64_seed_rows(pool: list) -> List[Tuple[int, int]]:
-    """:func:`_pcg64_seed` of every channel whose pool words are vectors."""
+def _seed_positions(pool: list, hi_first: bool) -> List[bytes]:
+    """Initial stream positions of every channel whose pool words are vectors.
+
+    :func:`_pcg64_seed` in ``uint64`` NumPy, packed as
+    :func:`_pack_position` would pack each channel's ``(state, inc)``.
+    """
     w = _output_words(pool)
-    return list(map(_pcg64_set_seq, (w[0] | w[1] << 32).tolist(),
-                    (w[2] | w[3] << 32).tolist(),
-                    (w[4] | w[5] << 32).tolist(),
-                    (w[6] | w[7] << 32).tolist()))
+    state_hi, state_lo, inc_hi, inc_lo = _pcg64_set_seq_words(
+        w[0] | w[1] << 32, w[2] | w[3] << 32,
+        w[4] | w[5] << 32, w[6] | w[7] << 32)
+    if hi_first:
+        words = (state_hi, state_lo, inc_hi, inc_lo)
+    else:
+        words = (state_lo, state_hi, inc_lo, inc_hi)
+    blob = np.stack(words, axis=1).tobytes()
+    return [blob[i:i + _POSITION_BYTES]
+            for i in range(0, len(blob), _POSITION_BYTES)]
 
 
 def _output_words(pool: list) -> list:
@@ -229,6 +268,77 @@ def _pcg64_set_seq(state_hi: int, state_lo: int, seq_hi: int,
     """PCG64's set-seq seeding from the 64-bit halves of its two inputs."""
     inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
     return ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def _mulhi64(a, b: int):
+    """High 64 bits of ``a * b`` for a ``uint64`` vector and a 64-bit int.
+
+    Schoolbook multiplication in 32-bit limbs: every partial product and
+    every partial sum fits in 64 bits.
+    """
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    cross_1, cross_2 = a_lo * b_hi, a_hi * b_lo
+    mid = (a_lo * b_lo >> 32) + (cross_1 & _MASK32) + (cross_2 & _MASK32)
+    return a_hi * b_hi + (cross_1 >> 32) + (cross_2 >> 32) + (mid >> 32)
+
+
+def _pcg64_set_seq_words(state_hi, state_lo, seq_hi, seq_lo) -> tuple:
+    """:func:`_pcg64_set_seq` on ``uint64`` vectors of 64-bit halves.
+
+    Returns ``(state_hi, state_lo, inc_hi, inc_lo)``.  Additions carry
+    from the low word into the high one, and the product with the
+    multiplier keeps its low 128 bits: ``lo * m_lo`` in full plus the
+    two cross products, which wrap in ``uint64`` exactly as they do mod
+    2**128.
+    """
+    inc_hi = seq_hi << 1 | seq_lo >> 63
+    inc_lo = seq_lo << 1 | 1
+    lo = inc_lo + state_lo
+    hi = inc_hi + state_hi + (lo < inc_lo)
+    m_hi, m_lo = _PCG64_MULT >> 64, _PCG64_MULT & _MASK64
+    prod_hi = _mulhi64(lo, m_lo) + lo * m_hi + hi * m_lo
+    out_lo = lo * m_lo + inc_lo
+    out_hi = prod_hi + inc_hi + (out_lo < inc_lo)
+    return out_hi, out_lo, inc_hi, inc_lo
+
+
+def _pack_position(state: int, inc: int, hi_first: bool) -> bytes:
+    """A stream position as the bit generator holds it in memory."""
+    s_hi, s_lo, i_hi, i_lo = (state >> 64, state & _MASK64,
+                              inc >> 64, inc & _MASK64)
+    if hi_first:
+        return _WORDS.pack(s_hi, s_lo, i_hi, i_lo)
+    return _WORDS.pack(s_lo, s_hi, i_lo, i_hi)
+
+
+def _read_position(view: memoryview) -> bytes:
+    """The layout probe's read of the view (a seam a test can corrupt)."""
+    return view.tobytes()
+
+
+def _position_view(bitgen) -> Tuple[memoryview, bool]:
+    """Writable bytes of ``bitgen``'s ``pcg64_random_t``, and its word order.
+
+    ``state_address`` points at NumPy's ``pcg64_state``, whose first
+    field points at the ``pcg64_random_t``.  The word order — whether
+    the high word of each 128-bit integer comes first — is probed by
+    setting a known state through the public setter and reading it back
+    through the view.
+    """
+    address = ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value
+    view = memoryview(_Position.from_address(address)).cast("B")
+    bitgen.state = _PROBE_STATE
+    got = _read_position(view)
+    probe = _PROBE_STATE["state"]
+    for hi_first in (False, True):
+        if got == _pack_position(probe["state"], probe["inc"], hi_first):
+            return view, hi_first
+    raise RuntimeError(
+        "this NumPy build lays out PCG64's (state, inc) in neither of the "
+        "layouts NumPy compiles (native 128-bit integers or a {high, low} "
+        "struct of 64-bit words); the network model cannot position its "
+        "channel streams")
 
 
 def _block_factors(z, u, jitter, spike_prob, spike_scale) -> np.ndarray:
@@ -311,10 +421,11 @@ class NetworkModel:
         self.o_send = o_send
         self.o_recv = o_recv
         self.faults = faults
-        # [tier, pcg_state, pcg_inc, factor_block, next_index] per
-        # channel: one dict probe on the draw hot path, the channel's
-        # jitter-stream position (derived on its first refill) and its
-        # buffered jitter factors (see _refill_factors).
+        # [tier, position, factor_block, next_index] per channel: one
+        # dict probe on the draw hot path, the channel's jitter-stream
+        # position (32 bytes in the bit generator's layout, derived on
+        # its first refill) and its buffered jitter factors (see
+        # _refill_factors).
         self._chan_cache: Dict[Tuple[int, int], list] = {}
         self._seed_pool, self._src_consts, self._dst_consts = _mix_seed(seed)
         #: src -> SeedSequence pool after the ``src + 1`` word.
@@ -322,6 +433,8 @@ class NetworkModel:
         #: The one bit generator every channel's stream is drawn through.
         self._bitgen = np.random.PCG64(0)
         self._stream_rng = np.random.Generator(self._bitgen)
+        #: Writable bytes of its ``(state, inc)``; never handed out.
+        self._position, self._hi_first = _position_view(self._bitgen)
         #: Per-rank time at which the outgoing port is next free.
         self._port_free: Dict[int, float] = {}
         #: Per-rank time at which the incoming port is next free.
@@ -356,37 +469,37 @@ class NetworkModel:
         channel's stream is consumed identically no matter which
         transport draws the message.
         """
-        if chan[1] is None:
-            chan[1], chan[2] = self._channel_seed(src, dst)
+        position = chan[1]
+        if position is None:
+            position = _pack_position(*self._channel_seed(src, dst),
+                                      self._hi_first)
         tier = chan[0]
         z = np.zeros(_FACTOR_BLOCK)
         u = np.zeros(_FACTOR_BLOCK) if tier.spike_prob > 0.0 else None
-        chan[1] = self._draw_block(chan[1], chan[2], tier, z, u)
-        buf = chan[3] = _block_factors(
+        chan[1] = self._draw_block(position, tier, z, u)
+        buf = chan[2] = _block_factors(
             z, u, tier.jitter, tier.spike_prob, tier.spike_scale).tolist()
-        chan[4] = 0
+        chan[3] = 0
         return buf
 
-    def _draw_block(self, state: int, inc: int, tier: NetworkTier,
-                    z: np.ndarray, u: np.ndarray | None) -> int:
-        """Draw one block of a channel's stream; return its advanced state.
+    def _draw_block(self, position: bytes, tier: NetworkTier,
+                    z: np.ndarray, u: np.ndarray | None) -> bytes:
+        """Draw one block of a channel's stream; return its advanced position.
 
         The stream format: ``_FACTOR_BLOCK`` standard normals into ``z``
         when the tier has jitter, then as many uniforms into ``u`` when it
         has spikes.  They are drawn through the model's one bit generator
-        with the channel's state swapped in; ``standard_normal`` and
-        ``random`` consume whole 64-bit outputs, so ``(state, inc)`` is
-        the stream's entire position.
+        with the channel's position written into its memory;
+        ``standard_normal`` and ``random`` consume whole 64-bit outputs,
+        so ``(state, inc)`` is the stream's entire position.
         """
-        bitgen, rng = self._bitgen, self._stream_rng
-        bitgen.state = {"bit_generator": "PCG64",
-                        "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
+        rng, view = self._stream_rng, self._position
+        view[:] = position
         if tier.jitter > 0.0:
             rng.standard_normal(out=z)
         if tier.spike_prob > 0.0:
             rng.random(out=u)
-        return bitgen.state["state"]["state"]
+        return view.tobytes()
 
     def _open_chunk(self, keys: List[Tuple[int, int]]) -> None:
         """Open the given new, non-self channels (see :meth:`open_channels`)."""
@@ -403,24 +516,24 @@ class NetworkModel:
                 drawn.append(key)
                 tier_of.append(i)
             else:
-                cache[key] = [tiers[i], None, 0, (), 0]
+                cache[key] = [tiers[i], None, (), 0]
         if not drawn:
             return
         words = np.array(drawn, np.uint64) + 1
         pool = _absorb_words(self._seed_pool, words[:, 0], self._src_consts)
         pool = _absorb_words(pool, words[:, 1], self._dst_consts)
-        seeds, incs = zip(*_pcg64_seed_rows(pool))
+        positions = _seed_positions(pool, self._hi_first)
         chan_tiers = [tiers[i] for i in tier_of]
         z = np.zeros((len(drawn), _FACTOR_BLOCK))
         u = np.zeros((len(drawn), _FACTOR_BLOCK))
-        states = list(map(self._draw_block, seeds, incs, chan_tiers, z, u))
+        positions = list(map(self._draw_block, positions, chan_tiers, z, u))
         params = np.array([[t.jitter, t.spike_prob, t.spike_scale]
                            for t in tiers])[np.array(tier_of, np.intp)]
         blocks = _block_factors(z, u, params[:, 0:1], params[:, 1:2],
                                 params[:, 2:3]).tolist()
-        for key, tier, state, inc, buf in zip(drawn, chan_tiers, states, incs,
-                                              blocks):
-            cache[key] = [tier, state, inc, buf, 0]
+        for key, tier, position, buf in zip(drawn, chan_tiers, positions,
+                                            blocks):
+            cache[key] = [tier, position, buf, 0]
 
     # -- public API ------------------------------------------------------------
 
@@ -469,7 +582,7 @@ class NetworkModel:
         chan = self._chan_cache.get(key)
         if chan is None:
             chan = self._chan_cache[key] = [
-                self.tier(src, dst), None, 0, (), 0,
+                self.tier(src, dst), None, (), 0,
             ]
         tier = chan[0]
         lat, bw = tier.latency, tier.bandwidth
@@ -478,12 +591,12 @@ class NetworkModel:
             lat *= lat_mult
             bw *= bw_mult
         if tier.jitter > 0.0 or tier.spike_prob > 0.0:
-            buf = chan[3]
-            i = chan[4]
+            buf = chan[2]
+            i = chan[3]
             if i >= len(buf):
                 buf = self._refill_factors(chan, src, dst)
                 i = 0
-            chan[4] = i + 1
+            chan[3] = i + 1
             factor = buf[i]
             return lat * factor, (nbytes / bw) * factor
         return lat, nbytes / bw

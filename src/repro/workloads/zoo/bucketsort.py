@@ -13,7 +13,7 @@ containment, bucket boundary ordering, and local sortedness.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -32,6 +32,20 @@ def _draw_keys(seed: int, rank: int, n_local: int) -> np.ndarray:
     """Rank ``rank``'s deterministic input keys."""
     rng = np.random.default_rng(1000003 * seed + rank)
     return rng.integers(0, _KEY_RANGE, size=n_local, dtype=np.int64)
+
+
+def _partition(keys: np.ndarray, bounds: Sequence[int]) -> List[np.ndarray]:
+    """Split ``keys`` into the buckets ``[bounds[r], bounds[r + 1])``.
+
+    Bucket ``r`` is ``keys[(keys >= bounds[r]) & (keys < bounds[r + 1])]``
+    — its keys in their original order and dtype — for every key in
+    ``[bounds[0], bounds[-1])``, computed by one stable sort on the
+    bucket index instead of one mask per bucket.
+    """
+    bucket = np.searchsorted(bounds, keys, side="right") - 1
+    order = np.argsort(bucket, kind="stable")
+    edges = np.searchsorted(bucket[order], np.arange(1, len(bounds) - 1))
+    return np.split(keys[order], edges)
 
 
 @register
@@ -67,10 +81,7 @@ class BucketSortWorkload(WorkloadPlugin):
             ctx.compute(work=key_work)
 
         with section(ctx, "PARTITION"):
-            buckets = [
-                keys[(keys >= bounds[r]) & (keys < bounds[r + 1])]
-                for r in range(p)
-            ]
+            buckets = _partition(keys, bounds)
             ctx.compute(work=key_work)
 
         with section(ctx, "EXCHANGE"):

@@ -242,3 +242,118 @@ def test_open_channels_rejects_wide_rank_word_like_lazy_opening(src, dst):
     assert str(batch.value) == str(lazy.value)
     assert "does not fit in 32 bits" in str(batch.value)
     assert model._chan_cache == {}
+
+
+# -- stream positions in the bit generator's memory layout ----------------------
+
+U64 = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63,
+                     2**64 - 2, 2**64 - 1]))
+
+
+def split128(value):
+    return value >> 64, value & (2**64 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(U64, U64, U64, U64), min_size=1, max_size=8))
+@example(rows=[(2**64 - 1,) * 4, (0,) * 4])
+# inc_lo + state_lo wraps to exactly 0, and to 2**64 - 1 with no carry.
+@example(rows=[(0, 1, 0, 2**63 - 1), (2**64 - 1, 2**64 - 1, 2**63, 2**63 - 1)])
+@example(rows=[(2**64 - 1, 2**64 - 2, 2**64 - 1, 2**64 - 1)])
+def test_numpy_set_seq_matches_integer_set_seq(rows):
+    cols = [np.array(col, dtype=np.uint64) for col in zip(*rows)]
+    got = network._pcg64_set_seq_words(*cols)
+    assert all(w.dtype == np.uint64 for w in got)
+    for i, row in enumerate(rows):
+        state, inc = network._pcg64_set_seq(*row)
+        assert [int(w[i]) for w in got] == [*split128(state), *split128(inc)]
+
+
+def blob_state(model, blob):
+    """The ``{"state", "inc"}`` dict a channel's stored position encodes."""
+    words = network._WORDS.unpack(blob)
+    if model._hi_first:
+        s_hi, s_lo, i_hi, i_lo = words
+    else:
+        s_lo, s_hi, i_lo, i_hi = words
+    return {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+
+
+def reference_state(seed, src, dst, tier, blocks):
+    """A channel's own generator's state after ``blocks`` blocks."""
+    bitgen = numpy_stream(seed, src, dst)
+    rng = np.random.Generator(bitgen)
+    for _ in range(blocks):
+        if tier.jitter > 0.0:
+            rng.standard_normal(_FACTOR_BLOCK)
+        if tier.spike_prob > 0.0:
+            rng.random(_FACTOR_BLOCK)
+    return bitgen.state["state"]
+
+
+@pytest.mark.parametrize("shape", sorted(TIERS))
+def test_stored_position_is_the_generator_state(shape):
+    tier = TIERS[shape]
+    model = NetworkModel(machine_with(tier), seed=2**70 + 9)
+    # Lazy: the second refill of 0 -> 1 is the generator's last write.
+    for _ in range(_FACTOR_BLOCK + 1):
+        model.draw(0, 1, 8)
+    public = model._bitgen.state
+    position = blob_state(model, model._chan_cache[(0, 1)][1])
+    assert public["state"] == position
+    assert public["has_uint32"] == 0
+    assert position == reference_state(2**70 + 9, 0, 1, tier, 2)
+    # Batch: the chunk's last channel is drawn last.
+    pairs = [(s, d) for s in range(4) for d in range(4)]
+    model.open_channels([s for s, _ in pairs], [d for _, d in pairs])
+    public = model._bitgen.state
+    assert public["state"] == blob_state(model, model._chan_cache[(3, 2)][1])
+    assert public["has_uint32"] == 0
+    for src, dst in pairs:
+        if src != dst:
+            blocks = 2 if (src, dst) == (0, 1) else 1
+            assert blob_state(model, model._chan_cache[(src, dst)][1]) == \
+                reference_state(2**70 + 9, src, dst, tier, blocks)
+
+
+@pytest.mark.parametrize("hi_first", [False, True])
+def test_chunk_positions_pack_like_single_positions(hi_first):
+    model = NetworkModel(laptop(2), seed=2**33 + 1)
+    pairs = [(0, 1), (5, 2), (2**32 - 2, 7), (9, 2**32 - 2)]
+    words = np.array(pairs, np.uint64) + 1
+    pool = network._absorb_words(model._seed_pool, words[:, 0],
+                                 model._src_consts)
+    pool = network._absorb_words(pool, words[:, 1], model._dst_consts)
+    assert network._seed_positions(pool, hi_first) == [
+        network._pack_position(*model._channel_seed(src, dst), hi_first)
+        for src, dst in pairs]
+
+
+def test_layout_probe_accepts_both_compiled_layouts():
+    probe = network._PROBE_STATE["state"]
+    for hi_first in (False, True):
+        packed = network._pack_position(probe["state"], probe["inc"],
+                                        hi_first)
+        with mock.patch.object(network, "_read_position",
+                               lambda view, packed=packed: packed):
+            model = NetworkModel(laptop(2), seed=1)
+        assert model._hi_first is hi_first
+
+
+def corrupted(view):
+    raw = bytearray(view.tobytes())
+    raw[3] ^= 0x40
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("read", [
+    corrupted,
+    lambda view: view.tobytes()[::-1],
+    lambda view: bytes(network._POSITION_BYTES),
+], ids=["bit-flip", "reversed", "zeros"])
+def test_layout_probe_rejects_an_unknown_layout(read):
+    with mock.patch.object(network, "_read_position", read):
+        with pytest.raises(RuntimeError, match="layout"):
+            NetworkModel(laptop(2), seed=1)
