@@ -322,25 +322,15 @@ class ServiceApp:
         })
 
     def _shed_one_batch(self) -> bool:
-        """Cancel the newest queued batch job to admit interactive work.
-
-        Persist-first like every terminal transition: record, journal
-        line, then the in-memory cancel that wakes the victim's waiters.
-        """
+        """Cancel the newest queued batch job to admit interactive work."""
         victim = self.queue.shed_batch()
         if victim is None:
             return False
-        now = time.time()
-        why = "batch job shed to admit interactive work under overload"
-        self.registry.put(ExperimentRegistry.make_record(
-            victim,
-            status="cancelled",
-            error={"error_type": "Cancelled", "message": why},
-            finished_at=now,
-        ))
-        self.journal.append("cancel", victim.key, reason="shed")
-        victim.cancel(why, at=now)
-        self.metrics.inc("jobs_shed")
+        self.scheduler.settle(victim, "cancelled", error={
+            "error_type": "Cancelled",
+            "message": "batch job shed to admit interactive work under "
+                       "overload",
+        }, counter="jobs_shed", reason="shed")
         return True
 
     def _list_jobs(self) -> Response:

@@ -3,12 +3,18 @@
 The thread scheduler (:mod:`repro.service.scheduler`) shares one GIL
 across every cold job; this module promotes the PR 1 process-pool idea
 into the service itself.  A :class:`WorkerSupervisor` spawns ``workers``
-long-lived **worker processes**, each executing whole jobs through the
-same :func:`~repro.service.jobs.execute_job` path, and supervises them:
+long-lived **worker processes** and supervises them.  How a job is
+claimed, run and ended is not this module's: each worker process runs
+its job through the same :func:`~repro.service.scheduler.run_job` body
+as a thread worker and sends the outcome back over its pipe, and the
+supervisor ends every job through the shared persist-first
+:meth:`~repro.service.scheduler._JobRunner.settle`.  What is
+process-only lives here:
 
-* **dispatch** — one job per worker at a time, claimed from the
-  :class:`~repro.service.queue.JobQueue` (interactive before batch) and
-  journalled (``claim``) before the worker sees it;
+* **dispatch** — one job per worker at a time, claimed by the shared
+  claim rule (a job whose deadline passed while queued is failed
+  unstarted; any other is journalled ``claim``) before the worker sees
+  it;
 * **heartbeats** — each worker emits a heartbeat message twice a
   second from a side thread; a busy worker that stops beating for
   ``heartbeat_timeout`` seconds is presumed wedged, killed, and treated
@@ -20,19 +26,16 @@ same :func:`~repro.service.jobs.execute_job` path, and supervises them:
 * **poison-job circuit breaker** — a job that kills its worker more
   than ``retry_budget`` times is quarantined in the terminal
   ``poisoned`` state instead of grinding the pool forever;
-* **deadlines** — a job past its per-job ``deadline`` is killed and
-  failed with ``DeadlineExceeded`` (the in-simulation watchdog gets the
-  same bound via :meth:`~repro.service.jobs.JobSpec.effective_wall_timeout`);
+* **running deadlines** — a job still running past its per-job
+  ``deadline`` has its worker killed and is failed with
+  ``DeadlineExceeded`` (the in-simulation watchdog gets the same bound
+  via :meth:`~repro.service.jobs.JobSpec.effective_wall_timeout`; in
+  thread mode that watchdog is the only bound, since a thread cannot be
+  killed);
 * **graceful drain** — ``stop(drain=True)`` stops dispatching, lets
   busy workers finish and persist, then retires the pool; with
   ``preserve_queued`` the still-queued jobs stay journalled for the
   next server process instead of being cancelled.
-
-Results, failures and Chrome traces travel back over each worker's
-pipe; the supervisor persists terminal registry records *before*
-flipping in-memory job state (the same persist-first ordering the
-thread scheduler guarantees), so observers never see a terminal job
-without a record on disk.
 
 **Chaos instrumentation.**  Workers honour the
 ``REPRO_SERVICE_POISON_KEYS`` environment variable — a comma-separated
@@ -51,15 +54,13 @@ import random
 import signal
 import threading
 import time
-import traceback
 from multiprocessing import connection as mpc
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from repro import obs
-from repro.service.jobs import JobSpec, execute_job
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import Job, JobQueue
 from repro.service.registry import ExperimentRegistry
+from repro.service.scheduler import _JobRunner, run_job
 
 logger = logging.getLogger(__name__)
 
@@ -85,10 +86,11 @@ def _poison_prefixes() -> List[str]:
 def _worker_main(worker_id: int, conn, cache_root, sweep_jobs) -> None:
     """Entry point of one worker process.
 
-    Receives ``(key, spec, want_trace)`` tasks on ``conn``; sends back
-    ``("start"|"progress"|"done"|"error"|"hb", ...)`` messages.  EOF on
-    the pipe (supervisor gone, graceful sentinel) exits the loop — a
-    worker can never outlive its server unnoticed.
+    Receives ``(spec, want_trace, submitted_at, started_at)`` tasks on
+    ``conn``, runs each through :func:`~repro.service.scheduler.run_job`
+    and sends back ``("start"|"progress"|"outcome"|"hb", ...)``
+    messages.  EOF on the pipe (supervisor gone, graceful sentinel)
+    exits the loop — a worker can never outlive its server unnoticed.
     """
     from repro.harness.cache import RunCache
 
@@ -117,49 +119,22 @@ def _worker_main(worker_id: int, conn, cache_root, sweep_jobs) -> None:
             return
         if task is None:  # graceful retirement sentinel
             return
-        key, spec, want_trace = task
+        spec, want_trace, submitted_at, started_at = task
+        key = spec.key
         try:
             send(("start", worker_id, key))
         except (OSError, ValueError):
             return
         if any(key.startswith(p) for p in poison):
             os.kill(os.getpid(), signal.SIGKILL)
-        tracer = obs.start_trace(
-            "job.run", layer="service",
-            attrs={"kind": spec.kind, "job": key[:12], "worker": worker_id},
+        outcome = run_job(
+            spec, submitted_at=submitted_at, started_at=started_at,
+            want_trace=lambda: want_trace, worker=worker_id,
+            jobs=sweep_jobs, cache=cache,
+            progress=lambda line: send(("progress", worker_id, key, line)),
         )
-        error = None
-        payload = None
         try:
-            try:
-                with obs.span("job.execute", layer="service", kind=spec.kind):
-                    payload = execute_job(
-                        spec,
-                        jobs=sweep_jobs,
-                        cache=cache,
-                        progress=lambda line: send(
-                            ("progress", worker_id, key, line)),
-                    )
-            except BaseException as exc:  # noqa: BLE001 - failure record
-                error = {
-                    "error_type": type(exc).__name__,
-                    "message": str(exc),
-                    "traceback": traceback.format_exc(),
-                }
-        finally:
-            tracer = obs.finish_trace()
-        spans = [(sp.name, sp.duration) for sp in tracer.spans()
-                 if sp.kind == "span"]
-        trace_doc = None
-        if want_trace and error is None:
-            from repro.obs import to_chrome_trace
-
-            trace_doc = to_chrome_trace(tracer)
-        try:
-            if error is not None:
-                send(("error", worker_id, key, error, spans))
-            else:
-                send(("done", worker_id, key, payload, spans, trace_doc))
+            send(("outcome", worker_id, key, outcome))
         except (OSError, ValueError):
             return  # supervisor vanished mid-result; nothing to report to
 
@@ -176,7 +151,6 @@ class _WorkerHandle:
         self.process = process
         self.conn = conn
         self.job: Optional[Job] = None
-        self.dispatched_at = 0.0
         self.last_beat = time.time()
 
     @property
@@ -184,12 +158,13 @@ class _WorkerHandle:
         return self.job is not None
 
 
-class WorkerSupervisor:
+class WorkerSupervisor(_JobRunner):
     """Runs queued jobs on supervised worker *processes*.
 
-    Drop-in for :class:`~repro.service.scheduler.Scheduler` (same
-    ``start`` / ``stop`` / ``running_count`` surface) with self-healing
-    semantics on top.  Parameters beyond the scheduler's:
+    Drop-in for :class:`~repro.service.scheduler.Scheduler` (the same
+    shared runner, ``start`` / ``stop`` / ``running_count`` surface)
+    with self-healing semantics on top.  Parameters beyond the
+    scheduler's:
 
     retry_budget:
         Worker deaths a single job may cause before it is poisoned.
@@ -221,15 +196,8 @@ class WorkerSupervisor:
         heartbeat_timeout: float = 30.0,
         seed: Optional[int] = None,
     ):
-        if workers < 1:
-            raise ValueError(f"need at least one worker, got {workers}")
-        self.queue = queue
-        self.registry = registry
-        self.metrics = metrics
-        self.workers = workers
-        self.sweep_jobs = sweep_jobs
-        self.cache = cache
-        self.journal = journal
+        super().__init__(queue, registry, metrics, workers=workers,
+                         sweep_jobs=sweep_jobs, cache=cache, journal=journal)
         self.retry_budget = retry_budget
         self.backoff = backoff
         self.backoff_cap = backoff_cap
@@ -239,7 +207,6 @@ class WorkerSupervisor:
         self._mp = multiprocessing.get_context("fork")
         self._handles: List[_WorkerHandle] = []
         self._loop: Optional[threading.Thread] = None
-        self._stop = threading.Event()
         self._draining = threading.Event()
         self._next_worker_id = 0
 
@@ -281,31 +248,10 @@ class WorkerSupervisor:
 
         ``drain=True`` (default) lets busy workers finish and persist
         their jobs; ``drain=False`` kills them (their jobs stay claimed
-        in the journal and replay as orphans).  Queued jobs are
-        cancelled-and-recorded unless ``preserve_queued`` — the
-        SIGTERM path — which leaves them journalled for the next
-        server process.
+        in the journal and replay as orphans).  Queued jobs: see
+        :meth:`~repro.service.scheduler._JobRunner._close_queue`.
         """
-        for job in self.queue.close():
-            now = time.time()
-            if preserve_queued:
-                # Leave the journal's submit line standing: the next
-                # process re-enqueues this job.  Waiters of *this*
-                # process still wake (their connection dies with us).
-                job.cancel("service restarting; job preserved in journal",
-                           at=now)
-                continue
-            self.registry.put(ExperimentRegistry.make_record(
-                job,
-                status="cancelled",
-                error={"error_type": "Cancelled",
-                       "message": "service shut down before the job started"},
-                finished_at=now,
-            ))
-            if self.journal is not None:
-                self.journal.append("cancel", job.key)
-            self.metrics.inc("jobs_cancelled")
-            job.cancel("service shut down before the job started", at=now)
+        self._close_queue(preserve_queued)
         self._draining.set()
         if not drain:
             self._stop.set()
@@ -334,10 +280,6 @@ class WorkerSupervisor:
                     h.process.kill()
             except (OSError, AttributeError, ValueError):
                 pass
-
-    def running_count(self) -> int:
-        """Jobs currently executing on a worker process."""
-        return sum(1 for h in self._handles if h.busy)
 
     def worker_pids(self) -> List[int]:
         """Live worker process ids (chaos tests kill these)."""
@@ -392,74 +334,17 @@ class WorkerSupervisor:
 
     def _handle_message(self, h: _WorkerHandle, msg) -> None:
         kind = msg[0]
-        if kind == "hb":
+        if kind in ("hb", "start"):
             h.last_beat = time.time()
             return
-        if kind == "start":
-            h.last_beat = time.time()
-            return
+        if h.job is None or h.job.key != msg[2]:
+            return  # stale message from a job we already reassigned
         if kind == "progress":
-            _, _, key, line = msg
-            if h.job is not None and h.job.key == key:
-                h.last_beat = time.time()
-                h.job.add_progress(line)
-            return
-        if kind in ("done", "error"):
-            job = h.job
-            if job is None or job.key != msg[2]:
-                return  # stale result from a job we already reassigned
-            h.job = None
-            if kind == "done":
-                _, _, _, payload, spans, trace_doc = msg
-                self._finish(job, payload=payload, spans=spans,
-                             trace_doc=trace_doc)
-            else:
-                _, _, _, error, spans = msg
-                self._finish(job, error=error, spans=spans)
-
-    # -- terminal transitions ------------------------------------------------
-
-    def _observe_spans(self, spans) -> None:
-        for name, duration in spans or ():
-            self.metrics.observe_span(name, duration)
-
-    def _finish(self, job: Job, *, payload=None, error=None, spans=None,
-                trace_doc=None, status: Optional[str] = None) -> None:
-        """Persist a terminal record, journal it, wake waiters."""
-        self._observe_spans(spans)
-        now = time.time()
-        if error is not None:
-            status = status or "failed"
-            record = ExperimentRegistry.make_record(
-                job, status=status, error=error, finished_at=now)
-            self.registry.put(record)
-            if self.journal is not None:
-                self.journal.append(
-                    "fail", job.key,
-                    poisoned=status == "poisoned",
-                    error_type=error.get("error_type"))
-            if status == "poisoned":
-                job.poison(error, at=now)
-                self.metrics.inc("jobs_poisoned")
-            else:
-                job.fail(error, at=now)
-                self.metrics.inc("jobs_failed")
-            logger.warning("job %s %s: %s: %s", job.key[:12], status,
-                           error.get("error_type"), error.get("message"))
-        else:
-            record = ExperimentRegistry.make_record(
-                job, status="done", result=payload, finished_at=now)
-            if trace_doc is not None and job.want_trace:
-                record["trace"] = trace_doc
-            self.registry.put(record)
-            if self.journal is not None:
-                self.journal.append("complete", job.key)
-            job.finish(payload, at=now)
-            self.metrics.inc("jobs_completed")
-        duration = job.duration()
-        if duration is not None:
-            self.metrics.observe_latency(duration)
-        self.queue.forget(job)
+            h.last_beat = time.time()
+            h.job.add_progress(msg[3])
+        elif kind == "outcome":
+            job, h.job = h.job, None
+            self.settle(job, **msg[3])
 
     # -- supervision ---------------------------------------------------------
 
@@ -516,7 +401,7 @@ class WorkerSupervisor:
         self.metrics.inc("worker_restarts")
         if victim is not None:
             if error is not None:
-                self._finish(victim, error=error)
+                self.settle(victim, "failed", error=error)
             else:
                 self._requeue_victim(victim)
         replacement = self._spawn()
@@ -529,7 +414,7 @@ class WorkerSupervisor:
     def _requeue_victim(self, job: Job) -> None:
         """Retry-or-poison a job whose worker process died under it."""
         if job.attempts > self.retry_budget:
-            self._finish(job, status="poisoned", error={
+            self.settle(job, "poisoned", error={
                 "error_type": "PoisonedJob",
                 "message": (
                     f"job killed its worker process {job.attempts} times "
@@ -565,28 +450,13 @@ class WorkerSupervisor:
         for h in self._handles:
             if h.busy or not h.process.is_alive():
                 continue
-            job = self.queue.next_job(timeout=0)
+            job = self._claim_next(h.worker_id, 0)
             if job is None:
                 return
-            deadline = job.deadline_at()
-            if deadline is not None and time.time() > deadline:
-                # Expired while queued: fail it without burning a worker.
-                job.mark_running()
-                self._finish(job, error={
-                    "error_type": "DeadlineExceeded",
-                    "message": (
-                        f"job spent its whole {job.spec.deadline:.6g}s "
-                        "deadline waiting in the queue"),
-                })
-                continue
-            job.mark_running()
-            if self.journal is not None:
-                self.journal.append("claim", job.key, attempt=job.attempts,
-                                    worker=h.worker_id)
-            h.dispatched_at = time.time()
             h.last_beat = time.time()
             try:
-                h.conn.send((job.key, job.spec, job.want_trace))
+                h.conn.send((job.spec, job.want_trace, job.submitted_at,
+                             job.started_at))
             except (OSError, ValueError, BrokenPipeError):
                 # Worker died between liveness check and send; the
                 # reaper will respawn it — requeue the job right away.

@@ -137,6 +137,12 @@ def test_two_live_models_do_not_disturb_each_other():
 
 def test_channel_state_is_freed_with_the_model():
     mach = nehalem_cluster(nodes=4, jitter=0.1)
+    # One throwaway model, drawn from lazily and in a batch, lets NumPy
+    # allocate its one-time state before the traced window opens.
+    warm = NetworkModel(mach, seed=2)
+    warm.draw(0, 1, 64)
+    warm.open_channels([1, 2], [0, 3])
+    del warm
     gc.collect()
     tracemalloc.start()
     try:
