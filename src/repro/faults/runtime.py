@@ -138,6 +138,12 @@ class FaultRuntime:
 
     # -- lifecycle faults ------------------------------------------------------
 
+    @property
+    def has_lifecycle_faults(self) -> bool:
+        """Whether a hang or crash applies to a rank of this run (the
+        only faults with a delivery point, see :meth:`due`)."""
+        return bool(self._deadline)
+
     def due(self, rank: int, t: float) -> Optional[str]:
         """``"hang"``/``"crash"`` if such a fault is due at ``t``, else None."""
         dl = self._deadline.get(rank)

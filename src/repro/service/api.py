@@ -37,7 +37,7 @@ import json
 import pathlib
 import re
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.harness.cache import RunCache
 from repro.service.jobs import JobSpec, JobSpecError, parse_job_spec
@@ -163,18 +163,24 @@ class ServiceApp:
         unless the registry already holds a terminal record for them
         (the crash fell between the registry write and the journal
         line; the registry, written first, wins).  The journal is then
-        compacted to just the still-pending submits.
+        compacted to just the still-pending submits, which include jobs
+        this process accepted before :meth:`start` (already queued).
         """
         t0 = time.perf_counter()
         found = self.journal.replay()
         kept = []
-        recovered = 0
+        recovered = replayed = 0
         for pending in found.pending:
             record = self.registry.get(pending.key)
             if record is not None and record.get("status") in TERMINAL_STATES:
                 # Finished (or cancelled) before the crash; the journal
                 # just never heard.  Resubmits hit the registry.
                 recovered += 1
+                continue
+            if self.queue.get(pending.key) is not None:
+                # Accepted by this process before start(): still
+                # pending, and its submit line must survive compaction.
+                kept.append(pending)
                 continue
             try:
                 spec = JobSpec.from_dict(pending.spec)
@@ -186,12 +192,13 @@ class ServiceApp:
             if not self.queue.restore(job):
                 continue
             kept.append(pending)
+            replayed += 1
             self.metrics.inc("jobs_replayed")
         if found.events or found.torn:
             self.journal.compact(kept)
         self.replay_stats = {
             "seconds": time.perf_counter() - t0,
-            "replayed": len(kept),
+            "replayed": replayed,
             "recovered": recovered,
             "torn": found.torn,
         }
@@ -281,14 +288,14 @@ class ServiceApp:
             })
 
         try:
-            job, created = self.queue.submit(spec)
+            job, created = self.queue.submit(spec, want_trace)
         except QueueFullError as exc:
             # Overload: interactive submits may shed the newest queued
             # batch job to free a slot (batch work is retryable; a human
             # waiting on an answer is not).
             if spec.priority == "interactive" and self._shed_one_batch():
                 try:
-                    job, created = self.queue.submit(spec)
+                    job, created = self.queue.submit(spec, want_trace)
                 except (QueueFullError, ClientLimitError) as exc2:
                     self.metrics.inc("jobs_rejected")
                     return _error(429, str(exc2), {"Retry-After": "1"})
@@ -301,8 +308,6 @@ class ServiceApp:
         except Exception as exc:  # queue closed during shutdown
             self.metrics.inc("jobs_rejected")
             return _error(503, str(exc))
-        if want_trace:
-            job.want_trace = True
         if created:
             # Durable before acknowledged: the submit line hits the
             # journal before the client sees 202, so an accepted job
@@ -466,8 +471,13 @@ class ServiceApp:
         return _error(404, f"job kind {kind!r} has no artifacts")
 
     @staticmethod
-    def _convolution_artifact(result: Dict[str, Any], name: str,
-                              query: Dict[str, str]) -> Response:
+    def _scaling_artifact(result: Dict[str, Any], name: str,
+                          query: Dict[str, str],
+                          default_label: Callable[[], str]
+                          ) -> Optional[Response]:
+        """``profile`` / ``report`` / ``speedup`` / ``bounds`` of a
+        scaling result (None for any other name).  ``default_label``
+        names the bounds section when the query gives none."""
         from repro.core.analysis import ScalingAnalysis
         from repro.core.export import scaling_from_json
         from repro.tools.reportgen import scaling_report
@@ -475,6 +485,8 @@ class ServiceApp:
         if name == "profile":
             return _text_response(200, result["profile_json"],
                                   content_type="application/json")
+        if name not in ("report", "speedup", "bounds"):
+            return None
         profile = scaling_from_json(result["profile_json"])
         if name == "report":
             label = query.get("label")
@@ -484,57 +496,41 @@ class ServiceApp:
         analysis = ScalingAnalysis(profile)
         if name == "speedup":
             return _json_response(200, {"rows": analysis.speedup_rows()})
-        if name == "bounds":
-            label = query.get("label", "HALO")
-            entries = analysis.bound_table(label)
-            return _json_response(200, {
-                "label": label,
-                "rows": [
-                    {"p": e.p, "total_time": e.total_time,
-                     "avg_time": e.avg_time, "bound": e.bound}
-                    for e in entries
-                ],
-            })
-        return _error(404, f"unknown convolution artifact {name!r} "
-                           "(profile | report | speedup | bounds)")
+        label = query.get("label")
+        if label is None:
+            label = default_label()
+        entries = analysis.bound_table(label)
+        return _json_response(200, {
+            "label": label,
+            "rows": [
+                {"p": e.p, "total_time": e.total_time,
+                 "avg_time": e.avg_time, "bound": e.bound}
+                for e in entries
+            ],
+        })
 
-    @staticmethod
-    def _scenario_artifact(result: Dict[str, Any], name: str,
+    @classmethod
+    def _convolution_artifact(cls, result: Dict[str, Any], name: str,
+                              query: Dict[str, str]) -> Response:
+        return cls._scaling_artifact(
+            result, name, query, lambda: "HALO"
+        ) or _error(404, f"unknown convolution artifact {name!r} "
+                         "(profile | report | speedup | bounds)")
+
+    @classmethod
+    def _scenario_artifact(cls, result: Dict[str, Any], name: str,
                            query: Dict[str, str]) -> Response:
-        from repro.core.analysis import ScalingAnalysis
-        from repro.core.export import scaling_from_json
-        from repro.tools.reportgen import scaling_report
+        def key_section() -> str:
+            from repro.workloads import registry
+            key_sections = registry.get(
+                result["scenario"]["workload"]).KEY_SECTIONS
+            return key_sections[0] if key_sections else "HALO"
 
-        if name == "profile":
-            return _text_response(200, result["profile_json"],
-                                  content_type="application/json")
+        response = cls._scaling_artifact(result, name, query, key_section)
+        if response is not None:
+            return response
         if name == "metrics":
             return _json_response(200, {"metrics": result["metrics"]})
-        profile = scaling_from_json(result["profile_json"])
-        if name == "report":
-            label = query.get("label")
-            return _text_response(
-                200, scaling_report(profile, bound_labels=[label] if label else None)
-            )
-        analysis = ScalingAnalysis(profile)
-        if name == "speedup":
-            return _json_response(200, {"rows": analysis.speedup_rows()})
-        if name == "bounds":
-            label = query.get("label")
-            if label is None:
-                from repro.workloads import registry
-                key_sections = registry.get(
-                    result["scenario"]["workload"]).KEY_SECTIONS
-                label = key_sections[0] if key_sections else "HALO"
-            entries = analysis.bound_table(label)
-            return _json_response(200, {
-                "label": label,
-                "rows": [
-                    {"p": e.p, "total_time": e.total_time,
-                     "avg_time": e.avg_time, "bound": e.bound}
-                    for e in entries
-                ],
-            })
         if name == "efficiency_timeline":
             timeline = result.get("timeline")
             if not query:
@@ -594,8 +590,11 @@ class ServiceApp:
             return _json_response(200, {"rows": analysis.efficiency_surface()})
         if name == "inflexion":
             label = query.get("label", "LagrangeElements")
-            p = int(query.get("p", "1"))
-            rel_tol = float(query.get("rel_tol", "0.05"))
+            try:
+                p = int(query.get("p", "1"))
+                rel_tol = float(query.get("rel_tol", "0.05"))
+            except ValueError as exc:
+                return _error(400, f"bad inflexion parameter: {exc}")
             hit = analysis.bound_at_inflexion(label, p, rel_tol)
             if hit is None:
                 return _json_response(200, {

@@ -256,12 +256,13 @@ class JobQueue:
 
     # -- submission ---------------------------------------------------------
 
-    def submit(self, spec: JobSpec) -> tuple:
+    def submit(self, spec: JobSpec, want_trace: bool = False) -> tuple:
         """Admit a spec; returns ``(job, created)``.
 
         ``created`` is False when the spec coalesced onto an identical
-        in-flight job.  Raises :class:`QueueFullError` /
-        :class:`ClientLimitError` on policy violations and
+        in-flight job.  ``want_trace`` sets the job's sticky trace flag
+        before any worker can claim it.  Raises :class:`QueueFullError`
+        / :class:`ClientLimitError` on policy violations and
         :class:`ReproError` once the queue is closed for shutdown.
         """
         with self._lock:
@@ -269,6 +270,8 @@ class JobQueue:
                 raise ReproError("service is shutting down; not accepting jobs")
             existing = self._active.get(spec.key)
             if existing is not None:
+                if want_trace:
+                    existing.want_trace = True
                 return existing, False
             in_flight = len(self._active)
             if in_flight >= self.limit:
@@ -284,6 +287,7 @@ class JobQueue:
                     f"flight (limit {self.per_client})"
                 )
             job = Job(spec)
+            job.want_trace = want_trace
             self._active[job.key] = job
             self._fifos[job.priority].append(job)
             self._not_empty.notify()

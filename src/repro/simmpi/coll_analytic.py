@@ -34,9 +34,7 @@ The same program source runs in both modes:
   only the fabric machinery a resolved collective can observe — every
   :class:`~repro.simmpi.network.NetworkModel` state change (jitter
   draw, port reservations, traffic counters), every clock
-  advance and every payload clone/delivery, in the identical order —
-  and falls back to the full fabric when a PMPI tool watches
-  per-message events.
+  advance and every payload clone/delivery, in the identical order.
 
 Because both modes evolve the *same* network-model state, in the
 *same* canonical order, against the *same* per-channel jitter RNG
@@ -71,12 +69,14 @@ job (otherwise outside ranks could interleave port traffic
 mid-collective).  Sub-communicators and the linear ablation variants
 take the ungated message path unchanged.
 
-Fault runs do cross the gate, so their engine interleaving stays
-comparable to fault-free runs, but an active
-:class:`~repro.faults.FaultPlan` skips the replay: the last arrival
-releases every rank onto its own message-path program, because fault
-delivery points must fire mid-pattern at true engine scheduling
-granularity.
+The last arrival decides fast or message path in one place,
+:meth:`CollectiveGate._admits_fast`.  Only what the replay cannot model
+keeps it out: a hang or crash in the :class:`~repro.faults.FaultPlan`
+(its delivery point must fire in the owning rank's own scheduling
+slot) and a PMPI tool that wants ``on_send`` / ``on_recv``.  Every rank
+then runs its own message-path program.  Straggler and noise faults
+scale only per-rank compute, and link faults act inside
+``NetworkModel.draw``, so those plans resolve fast.
 
 The allreduce specialisation
 ----------------------------
@@ -89,10 +89,9 @@ through the same ``draw`` / ``route`` kernels.  It resolves the
 invocation only when every rank passes a same-shape, same-dtype numeric
 ndarray (at least one dimension) within the eager threshold and names
 the same pure built-in reduce op (SUM, PROD, MIN, MAX), p is a power of
-two, the communicator numbers ranks as the world does, and no PMPI tool
-wants ``on_send`` / ``on_recv``.  Otherwise it declines and
-:class:`_Replay` runs as for every other collective.  Either way the
-invocation counts as one fast resolution.
+two, and the communicator numbers ranks as the world does.  Otherwise
+it declines and :class:`_Replay` runs as for every other collective.
+Either way the invocation counts as one fast resolution.
 """
 
 from __future__ import annotations
@@ -210,9 +209,9 @@ class CollectiveGate:
     def eligible(self, comm) -> bool:
         """Gate precondition: the communicator spans the whole job.
 
-        Fault runs still cross the gate (so their engine interleaving —
-        and hence their clocks — stays comparable to fault-free runs),
-        but :meth:`g_run` keeps them on the message path.
+        Fault and tool runs cross the gate too (so their engine
+        interleaving — and hence their clocks — stays comparable to
+        plain runs); :meth:`_admits_fast` picks their path.
         """
         engine = self.engine
         return comm.size == engine.n_ranks and comm.size > 1
@@ -252,17 +251,14 @@ class CollectiveGate:
         # Last arrival: release (or resolve) the whole invocation.  An
         # alltoall sends on every ordered pair of ranks, so its channels
         # are opened in one batch first (unobservable: see
-        # NetworkModel.open_channels).  An active FaultPlan forces the
-        # message path — hang/crash delivery points inside the pattern
-        # must fire on the owning rank's own scheduling slot, which a
-        # batched replay cannot honour.
+        # NetworkModel.open_channels).
         engine = self.engine
         if kind == "alltoall":
             ranks = range(entry.size)
             engine.network.open_channels(
                 [src for src in ranks for _ in ranks],
                 [dst for _ in ranks for dst in ranks])
-        if engine.coll_analytic and engine._faults is None:
+        if self._admits_fast():
             entry.mode = "fast"
             if kind != "allreduce" or not _flat_allreduce(engine, entry):
                 _Replay(entry).run()
@@ -276,6 +272,18 @@ class CollectiveGate:
         return (yield from self._g_run_threaded(entry, comm))
 
     # -- internals ---------------------------------------------------------------
+
+    def _admits_fast(self) -> bool:
+        """Whether the last arrival resolves the invocation by replay
+        (the admission rule of the module docstring)."""
+        engine = self.engine
+        if not engine.coll_analytic:
+            return False
+        faults = engine.faults
+        if faults is not None and faults.has_lifecycle_faults:
+            return False
+        tools = engine.tools
+        return not (tools.wants("on_send") or tools.wants("on_recv"))
 
     def _wake_others(self, entry: _GateEntry, rank: int) -> None:
         """Mark every other participant runnable again (entry release)."""
@@ -343,10 +351,10 @@ class _LeanComm:
     The generic replay drives programs through
     :class:`~repro.simmpi.p2p.MessageFabric`, whose per-message cost is
     dominated by machinery a resolved collective cannot exercise: fault
-    polling (the fast path requires no FaultPlan), PMPI dispatch (lean
-    mode is skipped when a tool wants ``on_send``/``on_recv``), wildcard
-    matching and probes (collective programs name specific source+tag),
-    and thread wakeups (no rank thread is running during a replay).
+    polling (the gate admits no hang or crash, the only faults with a
+    delivery point), PMPI dispatch (nor a tool that wants ``on_send`` /
+    ``on_recv``), wildcard matching and probes (collective programs name
+    specific source+tag), and thread wakeups (no rank thread runs).
     This class keeps only the state evolution that is observable after
     the collective — every :class:`~repro.simmpi.network.NetworkModel`
     state change (jitter draw, port reservations, traffic
@@ -522,38 +530,27 @@ class _Replay:
     resolver's thread, always advancing the runnable virtual rank with
     the smallest ``(virtual clock, world rank)`` — the identical
     scheduling rule the engine applies to rank threads — and running it
-    until its program yields a request that is still pending.  Clock
-    advances, jitter draws, port reservations and payload movement all
-    go through the very same fabric/network code the threaded path
-    uses, so the replay is an order-preserving re-execution, not a
-    model of one.
+    until its program yields a request that is still pending.  Every
+    program posts through :class:`_LeanComm`, whose jitter draws, port
+    reservations, clock advances and payload movement follow the
+    fabric's rules through the network model's own kernels, so the
+    replay is an order-preserving re-execution, not a model of one.
     """
 
     _READY, _BLOCKED, _DONE, _FAILED = range(4)
 
     def __init__(self, entry: _GateEntry):
         self.entry = entry
-        self.ctxs = [entry.comms[q].ctx for q in range(entry.size)]
-        # Lean transport unless a PMPI tool observes per-message events
-        # (the tool must see the identical send/recv stream the message
-        # path would emit), in which case the replay walks the full
-        # fabric.
-        engine = self.ctxs[0].engine
-        tools = engine.tools
-        self.lean = not (tools.wants("on_send") or tools.wants("on_recv"))
+        self.ctxs = [comm.ctx for comm in entry.comms]
         self._sends: Dict[tuple, Any] = {}
         self._recvs: Dict[tuple, Any] = {}
         self.completed: List[Any] = []
-        comms = entry.comms
-        if self.lean:
-            net = engine.network
-            comms = [
-                _LeanComm(c, net, self._sends, self._recvs, self.completed)
-                for c in comms
-            ]
+        net = self.ctxs[0].engine.network
         self.gens = [
-            entry.factories[q](comms[q], entry.ckey, *entry.args[q])
-            for q in range(entry.size)
+            factory(_LeanComm(comm, net, self._sends, self._recvs,
+                              self.completed), entry.ckey, *args)
+            for comm, factory, args in zip(entry.comms, entry.factories,
+                                           entry.args)
         ]
 
     def run(self) -> None:
@@ -561,7 +558,6 @@ class _Replay:
         size = entry.size
         ctxs = self.ctxs
         gens = self.gens
-        lean = self.lean
         completed = self.completed
         state = [self._READY] * size
         pending: List[Optional[Any]] = [None] * size
@@ -618,39 +614,30 @@ class _Replay:
                     continue
                 state[q] = BLOCKED
                 pending[q] = req
-                if lean:
-                    req.waiter = q
+                req.waiter = q
                 break
             # A segment may have completed requests other ranks' parked
             # programs were waiting on — exactly like the engine's
             # wake_if_waiting, applied at the baton boundary.  The lean
-            # transport reports exactly which requests it completed; the
-            # full-fabric fallback scans all p (tool runs only).
-            if lean:
-                if completed:
-                    for dreq in completed:
-                        j = dreq.waiter
-                        if j is not None and state[j] == BLOCKED:
-                            dreq.waiter = None
-                            state[j] = READY
-                            cj = ctxs[j]
-                            heappush((cj._clock, cj.rank, j))
-                    completed.clear()
-            else:
-                for j in range(size):
-                    if state[j] == BLOCKED and pending[j].done:
+            # transport reports exactly which requests it completed.
+            if completed:
+                for dreq in completed:
+                    j = dreq.waiter
+                    if j is not None and state[j] == BLOCKED:
+                        dreq.waiter = None
                         state[j] = READY
-                        heappush((ctxs[j]._clock, ctxs[j].rank, j))
+                        cj = ctxs[j]
+                        heappush((cj._clock, cj.rank, j))
+                completed.clear()
         stuck = [ctxs[q].rank for q in range(size)
                  if state[q] == self._BLOCKED]
-        if lean and not failures and not stuck:
-            if self._sends or self._recvs:
-                leftovers = len(self._sends) + len(self._recvs)
-                raise EngineStateError(
-                    f"analytic replay finished with {leftovers} unmatched "
-                    "send/recv group(s) — collective programs must be "
-                    "balanced within their own sub-context"
-                )
+        if not failures and not stuck and (self._sends or self._recvs):
+            leftovers = len(self._sends) + len(self._recvs)
+            raise EngineStateError(
+                f"analytic replay finished with {leftovers} unmatched "
+                "send/recv group(s) — collective programs must be "
+                "balanced within their own sub-context"
+            )
         if stuck and not failures:
             raise EngineStateError(
                 f"analytic replay of {entry.kind!r} stalled with ranks "
@@ -685,10 +672,9 @@ def _flat_allreduce(engine, entry: _GateEntry) -> bool:
     passes a same-shape, same-dtype numeric ndarray of at least one
     dimension (a 0-d combine yields a NumPy scalar, which travels as a
     pickled object) within the eager threshold; every rank names the
-    same pure reduce op; p is a power of two; the communicator numbers
-    ranks as the world does; and no PMPI tool watches per-message
-    events.  True means ``entry.results`` holds every rank's result and
-    every rank's clock is final.
+    same pure reduce op; p is a power of two; and the communicator
+    numbers ranks as the world does.  True means ``entry.results`` holds
+    every rank's result and every rank's clock is final.
     """
     args = entry.args
     a0 = args[0]
@@ -704,9 +690,6 @@ def _flat_allreduce(engine, entry: _GateEntry) -> bool:
     # Plain functions hash by identity; a user's callable may not hash.
     ufunc = _OP_UFUNC.get(opf) if type(opf) is FunctionType else None
     if ufunc is None:
-        return False
-    tools = engine.tools
-    if tools.wants("on_send") or tools.wants("on_recv"):
         return False
     dtype = sb0.dtype
     if dtype.kind not in "biufc":

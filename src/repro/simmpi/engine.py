@@ -697,6 +697,11 @@ class _EngineBase:
 
     # -- wake paths (shared) -----------------------------------------------------
 
+    @property
+    def faults(self) -> Optional[FaultRuntime]:
+        """This run's fault interpreter (None without a fault plan)."""
+        return self._faults
+
     def fault_poll(self, ctx) -> None:
         """Deliver any due hang/crash fault for ``ctx``'s rank.
 

@@ -59,10 +59,11 @@ differential suite (``tests/simmpi/test_macrostep.py``) enforces this
 against both the interpreted thread-free path and the thread-per-rank
 oracle.
 
-Fallbacks (mirroring ``coll_analytic``): link faults (per-message
-fault factors), PMPI tools that watch per-message events, and runs
-with fewer than two ranks never attach the layer at all; hang/crash
-plans attach but deopt the moment a fault fires.  ``REPRO_MACROSTEP``
+Fallbacks: PMPI tools that watch per-message or per-collective
+events, and runs with fewer than two ranks, never attach the layer at
+all.  Every fault plan attaches: link faults act inside
+``NetworkModel.draw``, which replay calls like the interpreter, and
+hang/crash plans deopt the moment a fault fires.  ``REPRO_MACROSTEP``
 / ``macrostep=`` / ``--macrostep`` switch it (on by default).
 """
 
@@ -116,16 +117,15 @@ def macrostep_enabled(value: Optional[str] = None) -> bool:
 def eligible(engine) -> bool:
     """Whether this run can macro-step at all.
 
-    Mirrors the ``coll_analytic`` fallbacks: per-message link-fault
-    factors and PMPI tools that watch per-message events need the full
-    interpreted path; single-rank runs have nothing to win.  Hang /
-    crash / straggler plans *are* eligible — their delivery points are
-    polled at the identical sites, and a firing fault deoptimizes.
+    PMPI tools that watch per-message or per-collective events need the
+    full interpreted path; single-rank runs have nothing to win.  Every
+    fault plan is eligible: link factors are applied inside
+    ``NetworkModel.draw``, which replay calls like the interpreter;
+    straggler and noise faults scale compute the same way on both; and
+    hang / crash delivery points are polled at the identical sites, a
+    firing fault deoptimizing.
     """
     if engine.n_ranks < 2:
-        return False
-    faults = engine._faults
-    if faults is not None and faults.has_link_faults:
         return False
     tools = engine.tools
     if (

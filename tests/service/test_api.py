@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from tests.service.conftest import tiny_conv_spec
+from tests.service.conftest import tiny_conv_spec, tiny_lulesh_spec
 
 
 def _post(app, spec):
@@ -176,3 +176,96 @@ def test_stored_progress_survives_a_restart(tmp_path):
             "lines": [], "next": 0, "done": True}
     finally:
         second.close()
+
+
+def test_job_submitted_before_start_survives_a_crash(tmp_path, monkeypatch):
+    """start()'s journal compaction keeps the submit line of a job this
+    process accepted before start(), so a crash right after start()
+    still replays it."""
+    import threading
+
+    from repro.service import scheduler as scheduler_mod
+    from repro.service.api import ServiceApp
+    from repro.service.journal import JobJournal
+
+    release = threading.Event()
+
+    def held(spec, **kwargs):  # the job stays in flight until released
+        release.wait(30)
+        raise RuntimeError("released")
+
+    monkeypatch.setattr(scheduler_mod, "execute_job", held)
+    cache_dir = tmp_path / "cache"
+    app = ServiceApp(cache_dir=cache_dir, workers=1)
+    spec = tiny_conv_spec()
+    job_id = _body(_post(app, spec))["job_id"]
+    app.start()
+    try:
+        assert app.replay_stats["replayed"] == 0
+        assert app.metrics.counter("jobs_replayed") == 0
+        # What a restarted process replays if this one died now.
+        found = JobJournal(cache_dir / "journal.wal", fsync=False).replay()
+        assert [p.key for p in found.pending] == [job_id]
+        assert found.pending[0].spec == app.queue.get(job_id).spec.to_dict()
+    finally:
+        release.set()
+        app.close()
+
+
+def test_traced_submit_is_claimed_with_its_flag(idle_app, monkeypatch):
+    """A worker that claims a ``?trace=1`` job the moment it becomes
+    claimable already sees the trace flag."""
+    import threading
+
+    queue = idle_app.queue
+    seen = []
+    claimed = threading.Event()
+
+    def worker():
+        job = queue.next_job(timeout=10)
+        seen.append(job.want_trace)
+        claimed.set()
+
+    real_submit = queue.submit
+
+    def submit_then_wait_for_the_claim(*args, **kwargs):
+        out = real_submit(*args, **kwargs)
+        assert claimed.wait(10)
+        return out
+
+    monkeypatch.setattr(queue, "submit", submit_then_wait_for_the_claim)
+    thread = threading.Thread(target=worker)
+    thread.start()
+    status, _, _ = idle_app.handle("POST", "/api/v1/jobs", {"trace": "1"},
+                                   json.dumps(tiny_conv_spec()).encode())
+    thread.join(10)
+    assert status == 202
+    assert seen == [True]
+
+
+def test_coalesced_traced_submit_sets_the_flag(idle_app):
+    """A ``?trace=1`` submit coalescing onto a queued untraced job makes
+    it traced (the flag is sticky)."""
+    first = _body(_post(idle_app, tiny_conv_spec()))
+    assert idle_app.queue.get(first["job_id"]).want_trace is False
+    status, _, body = idle_app.handle("POST", "/api/v1/jobs", {"trace": "1"},
+                                      json.dumps(tiny_conv_spec()).encode())
+    assert status == 202 and json.loads(body)["deduplicated"] is True
+    assert idle_app.queue.get(first["job_id"]).want_trace is True
+
+
+def test_malformed_inflexion_query_is_400(idle_app):
+    """Non-numeric ``p`` / ``rel_tol`` on the lulesh inflexion artifact
+    are the client's mistake (400), as on ``efficiency_timeline``."""
+    from repro.service.jobs import parse_job_spec
+    from repro.service.queue import Job
+
+    job = Job(parse_job_spec(tiny_lulesh_spec()))
+    idle_app.registry.put(idle_app.registry.make_record(
+        job, status="done",
+        result={"kind": "lulesh", "points": [], "drifts": {}}))
+    path = f"/api/v1/jobs/{job.key}/artifacts/inflexion"
+    for query in ({"p": "two"}, {"p": "1.5"}, {"rel_tol": "tight"}):
+        status, _, body = idle_app.handle("GET", path, query)
+        assert status == 400, query
+        assert json.loads(body)["error"].startswith("bad inflexion parameter")

@@ -10,7 +10,7 @@ Covered: all collectives (object and vector/buffer variants), object
 payloads above and below the rendezvous threshold, network jitter,
 compute jitter and noise-floor draws, several seeds, odd/non-power-of-2
 and large rank counts, explicit ``coll_analytic=`` engine arguments and
-the ``REPRO_COLL_ANALYTIC`` environment switch, and the fault-plan
+the ``REPRO_COLL_ANALYTIC`` environment switch, and the lifecycle-fault
 fallback that forces the message path.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.faults import FaultPlan, StragglerRank
+from repro.faults import FaultPlan, RankCrash, RankHang
 from repro.machine.catalog import laptop, nehalem_cluster
 from repro.simmpi import SUM, MAX, section
 from repro.simmpi.coll_analytic import ANALYTIC_ENV, analytic_enabled
@@ -128,20 +128,22 @@ def test_fast_path_bit_identical_on_quiet_machine():
 
 
 def test_fault_plan_forces_message_path():
-    """An active FaultPlan must disable the analytic replay (delivery
-    points have to fire on the owning rank's thread) while the gate
-    still engages, keeping clocks comparable to fault-free runs."""
-    plan = FaultPlan((StragglerRank(rank=0, factor=1.0),), seed=3)
-    res = run_mpi(4, _all_collectives_main,
-                  machine=nehalem_cluster(nodes=1, jitter=0.1), seed=7,
-                  compute_jitter=0.05, noise_floor=1e-7, faults=plan,
-                  coll_analytic=True)
-    assert res.collectives_gated > 0
-    assert res.collectives_fast == 0
-    # ... and a unit-factor straggler still matches the fault-free run.
+    """A plan with a hang or crash must disable the analytic replay
+    (delivery points have to fire on the owning rank's thread) while the
+    gate still engages, keeping clocks comparable to fault-free runs."""
     base = _run(4, fast=True, seed=7,
                 machine=nehalem_cluster(nodes=1, jitter=0.1))
-    assert res.clocks == base.clocks
+    for fault in (RankHang(rank=0, at_time=1e6),
+                  RankCrash(rank=0, at_time=1e6)):
+        plan = FaultPlan((fault,), seed=3)
+        res = run_mpi(4, _all_collectives_main,
+                      machine=nehalem_cluster(nodes=1, jitter=0.1), seed=7,
+                      compute_jitter=0.05, noise_floor=1e-7, faults=plan,
+                      coll_analytic=True)
+        assert res.collectives_gated > 0
+        assert res.collectives_fast == 0
+        # ... and a fault that never fires still matches the fault-free run.
+        assert res.clocks == base.clocks
 
 
 def test_subcommunicator_collectives_not_gated():

@@ -53,6 +53,19 @@ FAULTS = {
         {"kind": "straggler", "rank": 1, "factor": 3.0}]},
     "hang": {"seed": 9, "faults": [
         {"kind": "hang", "rank": 1, "at_time": 0.0}]},
+    # Rank 1 and node 1 exist wherever these run (eight ranks a node).
+    "noise_burst": {"seed": 4, "faults": [
+        {"kind": "noise_burst", "rank": 1, "mean_delay": 2e-6, "prob": 0.5}]},
+    "rank_link": {"seed": 4, "faults": [
+        {"kind": "degraded_link", "src": 0, "dst": 1,
+         "latency_factor": 3.0, "bandwidth_factor": 0.25},
+        {"kind": "degraded_link", "src": 1, "dst": 0,
+         "latency_factor": 2.0, "bandwidth_factor": 0.5}]},
+    "node_link": {"seed": 4, "faults": [
+        {"kind": "degraded_link", "src": 0, "dst": 1, "nodes": True,
+         "latency_factor": 4.0, "bandwidth_factor": 0.3},
+        {"kind": "degraded_link", "src": 1, "dst": 0, "nodes": True,
+         "latency_factor": 4.0, "bandwidth_factor": 0.3}]},
 }
 
 
@@ -195,7 +208,14 @@ def _allreduce_loop(op, rounds=12):
 @pytest.mark.parametrize("p, fault", [
     (16, "none"),       # power of two: the gate's flat recursive doubling
     (12, "none"),       # not a power of two: the flat executor declines, _Replay
-    (16, "straggler"),  # fault plan: the gate keeps the message path
+    (16, "straggler"),  # no hang or crash: the gate still resolves fast
+    (16, "noise_burst"),
+    (16, "rank_link"),
+    (16, "node_link"),
+    (12, "straggler"),
+    (12, "noise_burst"),
+    (12, "rank_link"),
+    (12, "node_link"),
 ])
 def test_gate_allreduce_matches_interpreter(p, fault, op):
     """The default configuration (analytic gate and macro-step on)
@@ -216,10 +236,7 @@ def test_gate_allreduce_matches_interpreter(p, fault, op):
             macrostep=fast,
         )
     on, off = runs[True], runs[False]
-    if fault == "none":
-        assert on.collectives_fast > 0
-    else:
-        assert on.collectives_fast == 0
+    assert on.collectives_fast == on.collectives_gated > 0
     assert off.collectives_fast == 0
     assert _eq(on.results, off.results)
     assert on.clocks == off.clocks
