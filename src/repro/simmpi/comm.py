@@ -33,6 +33,13 @@ from repro.simmpi.reduce_ops import ReduceOp, SUM
 from repro.simmpi.sched import drive_blocking, g_wait, g_waitall
 
 
+def _payload(obj: Any) -> Any:
+    """What an object-mode send hands the fabric: a plain ndarray live
+    (the fabric snapshots it if it outlives the post), anything else as
+    a snapshot, whose pickled size is the message size."""
+    return obj if type(obj) is np.ndarray else clone_payload(obj)
+
+
 class Group:
     """An ordered set of world ranks (``MPI_Group`` analogue)."""
 
@@ -87,7 +94,8 @@ class Communicator:
 
     @classmethod
     def _world(cls, ctx) -> "Communicator":
-        return cls(ctx, Group(range(ctx.size)), ("w",))
+        # One world group per run, shared by every rank's communicator.
+        return cls(ctx, ctx.engine._world_group, ("w",))
 
     @property
     def group(self) -> Tuple[int, ...]:
@@ -219,8 +227,7 @@ class Communicator:
         if dest == PROC_NULL:
             req.complete(ctx.now)
             return req
-        payload = clone_payload(obj)
-        self._post_send(self._p2p_key(), dest, tag, payload, req)
+        self._post_send(self._p2p_key(), dest, tag, _payload(obj), req)
         return req
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
@@ -385,7 +392,8 @@ class Communicator:
     # -- point-to-point: buffer mode -----------------------------------------------------
 
     def Isend(self, buf: np.ndarray, dest: int, tag: int = 0) -> Request:
-        """Non-blocking buffer send (array snapshot taken at post time)."""
+        """Non-blocking buffer send (the receiver sees the array as it was
+        at post time; see the fabric's snapshot rule)."""
         self._check_alive()
         self._check_peer(dest)
         self._check_tag(tag, allow_any=False)
@@ -394,8 +402,7 @@ class Communicator:
         if dest == PROC_NULL:
             req.complete(ctx.now)
             return req
-        payload = clone_payload(np.asarray(buf))
-        self._post_send(self._p2p_key(), dest, tag, payload, req)
+        self._post_send(self._p2p_key(), dest, tag, np.asarray(buf), req)
         return req
 
     def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
@@ -748,7 +755,7 @@ class Communicator:
     def _coll_isend(self, ckey: tuple, obj: Any, dest: int, tag: int) -> Request:
         ctx = self.ctx
         req = Request(ctx, "send", ("coll-send(dest={}, tag={})", dest, tag))
-        payload = clone_payload(obj)
+        payload = _payload(obj)
         nbytes = payload_nbytes(payload)
         if ctx.engine.tools.wants("on_send"):
             # Collective-internal messages are PMPI-visible sends too.

@@ -75,6 +75,7 @@ from repro.machine.catalog import laptop
 from repro.machine.spec import MachineSpec
 from repro.simmpi.api import ENGINE_ENV, ENGINE_THREADFREE, ENGINE_THREADS
 from repro.simmpi.coll_analytic import CollectiveGate, analytic_enabled
+from repro.simmpi.comm import Group
 from repro.simmpi.network import NetworkModel
 from repro.simmpi.p2p import MessageFabric
 from repro.simmpi.pmpi import ToolRegistry
@@ -479,8 +480,10 @@ class _EngineBase:
         self.coll_gate = CollectiveGate(self)
         self.network = NetworkModel(machine, seed=seed, ranks_per_node=ranks_per_node,
                                     faults=self._faults)
-        self.fabric = MessageFabric(self, self.network)
         self.tools = ToolRegistry(tools)
+        self.fabric = MessageFabric(self, self.network)
+        #: The world group, shared by every rank's world communicator.
+        self._world_group = Group(range(n_ranks))
         self._sections = SectionRuntime(self, validate=validate_sections)
         #: Per-rank scheduling records (_RankThread or _RankProgram).
         self._ranks: List[Any] = []
@@ -622,6 +625,34 @@ class _EngineBase:
 
     def _abort(self) -> None:
         raise NotImplementedError
+
+    def _guard_step(self, nxt) -> None:
+        """Apply the opt-in step guards to the rank about to run.
+
+        ``max_virtual_time`` aborts a runaway run; ``progress_steps``
+        counts scheduling steps that do not advance the scheduled
+        virtual clock.  Both loops call this only when a guard is set.
+        """
+        clock = nxt.ctx._clock
+        max_virtual_time = self.max_virtual_time
+        if max_virtual_time is not None and clock > max_virtual_time:
+            raise EngineStateError(
+                f"virtual time {clock:.6g}s exceeded the "
+                f"max_virtual_time guard ({max_virtual_time:.6g}s) "
+                f"on rank {nxt.rank}"
+            )
+        if self.progress_steps is not None:
+            if clock > self._progress_clock:
+                self._progress_clock = clock
+                self._stalled_steps = 0
+            else:
+                self._stalled_steps += 1
+                if self._stalled_steps > self.progress_steps:
+                    self._raise_stalled(
+                        "no-progress",
+                        f"virtual clock stuck at t={self._progress_clock:.6g}s "
+                        f"for {self._stalled_steps} scheduling steps:",
+                    )
 
     # -- diagnostics (shared) ----------------------------------------------------
 
@@ -781,8 +812,10 @@ class Engine(_EngineBase):
         failed = self._failed
         n_ranks = self.n_ranks
         wall_timeout = self.wall_timeout
-        max_virtual_time = self.max_virtual_time
-        progress_steps = self.progress_steps
+        guarded = (
+            self.max_virtual_time is not None or self.progress_steps is not None
+        )
+        guard_step = self._guard_step
         back_wait = self._back.wait
         back_clear = self._back.clear
         pop_ready = self._ready.pop_ready_progs
@@ -803,27 +836,8 @@ class Engine(_EngineBase):
                         "simulated MPI deadlock — every rank is blocked:",
                     )
                 nxt = ranks[entry[1]]
-                if (
-                    max_virtual_time is not None
-                    and nxt.ctx._clock > max_virtual_time
-                ):
-                    raise EngineStateError(
-                        f"virtual time {nxt.ctx._clock:.6g}s exceeded the "
-                        f"max_virtual_time guard ({max_virtual_time:.6g}s) "
-                        f"on rank {nxt.rank}"
-                    )
-                if progress_steps is not None:
-                    if nxt.ctx._clock > self._progress_clock:
-                        self._progress_clock = nxt.ctx._clock
-                        self._stalled_steps = 0
-                    else:
-                        self._stalled_steps += 1
-                        if self._stalled_steps > progress_steps:
-                            self._raise_stalled(
-                                "no-progress",
-                                f"virtual clock stuck at t={self._progress_clock:.6g}s "
-                                f"for {self._stalled_steps} scheduling steps:",
-                            )
+                if guarded:
+                    guard_step(nxt)
                 nxt.state = RUNNING
                 handoffs += 1
                 nxt.go.set()
@@ -958,8 +972,10 @@ class ThreadFreeEngine(_EngineBase):
         failed = self._failed
         n_ranks = self.n_ranks
         wall_timeout = self.wall_timeout
-        max_virtual_time = self.max_virtual_time
-        progress_steps = self.progress_steps
+        guarded = (
+            self.max_virtual_time is not None or self.progress_steps is not None
+        )
+        guard_step = self._guard_step
         pop_ready = self._ready.pop_ready_progs
         segment = self._segment
         perf = time.perf_counter
@@ -979,27 +995,8 @@ class ThreadFreeEngine(_EngineBase):
                         "simulated MPI deadlock — every rank is blocked:",
                     )
                 nxt = ranks[entry[1]]
-                if (
-                    max_virtual_time is not None
-                    and nxt.ctx._clock > max_virtual_time
-                ):
-                    raise EngineStateError(
-                        f"virtual time {nxt.ctx._clock:.6g}s exceeded the "
-                        f"max_virtual_time guard ({max_virtual_time:.6g}s) "
-                        f"on rank {nxt.rank}"
-                    )
-                if progress_steps is not None:
-                    if nxt.ctx._clock > self._progress_clock:
-                        self._progress_clock = nxt.ctx._clock
-                        self._stalled_steps = 0
-                    else:
-                        self._stalled_steps += 1
-                        if self._stalled_steps > progress_steps:
-                            self._raise_stalled(
-                                "no-progress",
-                                f"virtual clock stuck at t={self._progress_clock:.6g}s "
-                                f"for {self._stalled_steps} scheduling steps:",
-                            )
+                if guarded:
+                    guard_step(nxt)
                 nxt.state = RUNNING
                 if wall_timeout is None:
                     segment(nxt)

@@ -27,16 +27,18 @@ Each rank gets an observation phase and a replay phase:
   pin — and an aperiodic rank gives up after a bounded token budget.
 * **detect** — when the token stream verifies one full period
   (``tokens[n-L:n] == tokens[n-2L:n-L]``), the last ``L`` tokens
-  become the rank's *round template* and per-token constants (world
-  peer, queue keys) are precomputed.
+  become the rank's *round template* and each token's world peer is
+  precomputed.
 * **replay** — lean methods are bound on the communicator instance:
   each call checks its template entry (the structural guard) and then
-  runs the *fused* form of the interpreted path — the network model's
-  ``draw`` / ``route`` kernels plus the fabric's matching rules,
-  inlined, against the **shared** fabric queues (real
-  :class:`~repro.simmpi.p2p.Envelope` / ``RecvPost`` objects, the real
-  sequence counter).  ``g_Sendrecv`` consumes its recv/send pair in
-  one generator.  Collectives run interpreted and only stay in
+  posts through the **shared** :class:`~repro.simmpi.p2p.MessageFabric`
+  — ``post_send`` / ``post_recv``, the same calls the interpreter
+  makes, so queueing, matching and completion have one implementation.
+  What replay skips is the interpreter's argument checks, peer
+  translation and generator chains, which the template has already
+  settled; ``g_Sendrecv`` posts its recv/send pair from one plain
+  function and suspends only when the receive is still pending.
+  Collectives run interpreted and only stay in
   template sync: the choke-point guard consumes their ``("C", name)``
   token.  Whole collective invocations are the collective gate's job
   (:mod:`repro.simmpi.coll_analytic`), which resolves them the same
@@ -49,7 +51,7 @@ Each rank gets an observation phase and a replay phase:
   case it performs, bit for bit, the state evolution the interpreter
   would have — or it is not executed lean at all.
 
-Because replay operates on the shared fabric store, lean and
+Because replay posts through the shared fabric, lean and
 interpreted ranks interoperate per call: ranks engage and deoptimize
 independently, untracked paths (sub-communicators, probes, persistent
 requests) simply stay interpreted, and every simulated quantity —
@@ -62,8 +64,9 @@ oracle.
 Fallbacks: PMPI tools that watch per-message or per-collective
 events, and runs with fewer than two ranks, never attach the layer at
 all.  Every fault plan attaches: link faults act inside
-``NetworkModel.draw``, which replay calls like the interpreter, and
-hang/crash plans deopt the moment a fault fires.  ``REPRO_MACROSTEP``
+``NetworkModel.draw``, which the fabric calls for replayed and
+interpreted posts alike, and hang/crash plans deopt the moment a fault
+fires at the fabric's poll.  ``REPRO_MACROSTEP``
 / ``macrostep=`` / ``--macrostep`` switch it (on by default).
 """
 
@@ -75,9 +78,8 @@ from typing import Any, List, Optional
 import numpy as np
 
 from repro.simmpi.api import ANY_SOURCE, ANY_TAG, PROC_NULL
-from repro.simmpi.comm import Communicator
-from repro.simmpi.datatypes import clone_payload, deliver_into, payload_nbytes
-from repro.simmpi.p2p import Envelope, RecvPost
+from repro.simmpi.comm import Communicator, _payload
+from repro.simmpi.datatypes import payload_nbytes
 from repro.simmpi.request import Request
 
 #: Environment switch for macro-stepping.  On by default; ``0`` /
@@ -343,35 +345,26 @@ def _install_observers(ctrl: MacrostepController, jit: _RankJit) -> None:
 
 
 def _build_consts(engine, jit: _RankJit, template: List[tuple]):
-    """Precompute per-entry constants; None if the pattern is ineligible."""
+    """Each entry's world peer (None for collectives); None if the
+    pattern is ineligible."""
     comm = jit.comm
     me = jit.rank
     eager = engine.network.machine.eager_threshold
     ranks = comm._group.ranks
     size = comm.size
-    pkey = ("p", comm.cid)
-    kq_recv = (pkey, me)
     consts: List[Any] = []
     for tok in template:
         kind = tok[0]
-        if kind == "S" or kind == "s":
-            dest, tag, nbytes = tok[1], tok[2], tok[3]
-            if not 0 <= dest < size or nbytes > eager:
-                return None
-            wdst = ranks[dest]
-            if wdst == me:
-                return None
-            consts.append((wdst, (pkey, wdst)))
-        elif kind == "R" or kind == "r":
-            source = tok[1]
-            if not 0 <= source < size:
-                return None
-            wsrc = ranks[source]
-            if wsrc == me:
-                return None
-            consts.append((wsrc, kq_recv))
-        else:  # "C"
+        if kind == "C":
             consts.append(None)
+            continue
+        peer = tok[1]
+        if not 0 <= peer < size or (kind in "Ss" and tok[3] > eager):
+            return None
+        wpeer = ranks[peer]
+        if wpeer == me:
+            return None
+        consts.append(wpeer)
     return consts
 
 
@@ -381,46 +374,27 @@ def _build_consts(engine, jit: _RankJit, template: List[tuple]):
 
 
 def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
-    """Bind the fused replay methods on the rank's communicator.
+    """Bind the replay methods on the rank's communicator.
 
-    Every closure below is the fused form of the interpreted fabric
-    path it replaces (messages are drawn and routed by the network
-    model's kernels); comments name the fabric code each one fuses.
-    The differential suite checks bit-identity.
+    Each one checks its template entry and then posts through the
+    shared :class:`~repro.simmpi.p2p.MessageFabric` exactly as the
+    interpreted call does, minus the argument checks, peer translation
+    and generator chains the template has already settled.  The
+    differential suite checks bit-identity.
     """
     comm = jit.comm
     ctx = jit.ctx
-    eng = ctrl.engine
-    fabric = eng.fabric
-    net = eng.network
-    sends = fabric._sends
-    recvs = fabric._recvs
-    draw = net.draw
-    route = net.route
-    o_send = net.o_send
-    o_recv = net.o_recv
-    intra_bw = net.machine.intra_node.bandwidth
-    me = jit.rank
+    fabric = ctrl.engine.fabric
+    post_send = fabric.post_send
+    post_recv = fabric.post_recv
     pkey = ("p", comm.cid)
-    kq_recv = (pkey, me)
-    faults = eng._faults
-    wake = eng.wake_if_waiting
     template = jit.template
     consts = jit.consts
     L = len(template)
     deopt = ctrl.deopt
-    #: Pooled receive request for the fused ops (never escapes them).
+    #: Pooled requests for the fused sendrecv (they never escape it).
     pooled = Request(ctx, "recv", "macrostep replay recv")
-
-    def _poll():
-        # Fault delivery at the identical sites the fabric polls; a
-        # firing hang/crash unwinds through the lean generator exactly
-        # as it would through the interpreter — after deoptimizing.
-        try:
-            faults.poll(ctx)
-        except BaseException:
-            deopt(jit)
-            raise
+    pooled_send = Request(ctx, "send", "macrostep replay send")
 
     def _advance(n: int) -> None:
         cur = jit.cursor + n
@@ -429,172 +403,8 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
             jit.wraps += 1
         jit.cursor = cur
 
-    def _send_eager(dst: int, kqs, tag: int, payload, nb: int,
-                    snap: bool = False) -> None:
-        """Fused eager ``fabric.post_send``: the network model's
-        ``draw`` / ``route``, probe-aware matching, shared-store
-        queueing.
-
-        With ``snap`` the payload is the caller's live buffer and is
-        snapshotted lazily — only at the points where it escapes this
-        call (queued or probed as an Envelope, or handed to an
-        object-mode receive).  A send consumed inline by a posted
-        buffer receive copies into the destination directly, so the
-        interpreter's up-front ``clone_payload`` is pure overhead
-        there; the delivered bytes are identical because no user code
-        runs between the call and the inline delivery."""
-        lat, transfer = draw(me, dst, nb)
-        depart = ctx._clock
-        arrival = route(me, dst, depart + o_send, transfer, lat)[1]
-        # Eager: the sender is freed after the local buffering copy.
-        ctx._clock = depart + (o_send + nb / intra_bw)
-        seq = fabric._seq + 1
-        fabric._seq = seq
-        env = None
-        consumed = False
-        posts = recvs.get(kqs)
-        if posts:
-            i = 0
-            while i < len(posts):
-                post = posts[i]
-                psrc = post.source
-                ptag = post.tag
-                if (psrc == ANY_SOURCE or psrc == me) and (
-                    ptag == ANY_TAG or ptag == tag
-                ):
-                    if post.probe:
-                        # Blocking probe: complete it, keep the message.
-                        if env is None:
-                            if snap:
-                                payload = clone_payload(payload)
-                                snap = False
-                            env = Envelope(
-                                me, dst, kqs[0], tag, payload, nb, False,
-                                depart, lat, transfer, o_recv, arrival,
-                                seq, None,
-                            )
-                        del posts[i]
-                        fabric._complete_probe(env, post)
-                        continue
-                    del posts[i]
-                    if not posts:
-                        recvs.pop(kqs, None)
-                    # Inlined eager _complete_pair.
-                    pt = post.post_time
-                    recv_done = (
-                        arrival if arrival > pt else pt
-                    ) + o_recv
-                    preq = post.req
-                    preq.done = True
-                    preq.completion_time = recv_done
-                    st = preq.status
-                    st.source = me
-                    st.tag = tag
-                    buf = post.buf
-                    if buf is not None:
-                        # Exact-fit delivery inline (the dominant case);
-                        # deliver_into handles truncation/dtype errors.
-                        if (
-                            type(payload) is np.ndarray
-                            and payload.shape == buf.shape
-                            and payload.dtype == buf.dtype
-                        ):
-                            np.copyto(buf, payload)
-                            st.count = payload.size
-                        else:
-                            st.count = deliver_into(buf, payload)
-                    else:
-                        st.count = (
-                            int(payload.size)
-                            if isinstance(payload, np.ndarray)
-                            else 1
-                        )
-                        if snap:
-                            payload = clone_payload(payload)
-                            snap = False
-                        preq.data = payload
-                    wake(preq)
-                    consumed = True
-                    break
-                i += 1
-            if not posts:
-                recvs.pop(kqs, None)
-        if not consumed:
-            if env is None:
-                if snap:
-                    payload = clone_payload(payload)
-                env = Envelope(
-                    me, dst, kqs[0], tag, payload, nb, False, depart,
-                    lat, transfer, o_recv, arrival, seq, None,
-                )
-            q = sends.get(kqs)
-            if q is None:
-                sends[kqs] = [env]
-            else:
-                q.append(env)
-
-    def _complete_send_req(req: Request, tag: int) -> None:
-        # Mirror post_send's eager req.complete(ctx.now, source, tag).
-        req.done = True
-        req.completion_time = ctx._clock
-        st = req.status
-        st.source = me
-        st.tag = tag
-
-    def _recv_match(kq, wsrc: int, tag: int):
-        """Oldest matching envelope from a specific source, or None.
-
-        Consumes a sequence number either way (the interpreter creates
-        the RecvPost — and burns its seq — before matching).
-        """
-        seq = fabric._seq + 1
-        fabric._seq = seq
-        envs = sends.get(kq)
-        best = None
-        if envs:
-            for env in envs:
-                if env.src == wsrc and env.tag == tag and (
-                    best is None or env.seq < best.seq
-                ):
-                    best = env
-            if best is not None:
-                envs.remove(best)
-                if not envs:
-                    del sends[kq]
-        return best, seq
-
-    def _recv_inline(req: Request, best: Envelope, kq, wsrc, tag, buf, seq):
-        """Complete ``req`` against a matched envelope (any protocol)."""
-        if best.rndv:
-            # Rendezvous completion reserves ports at match time; the
-            # fabric's own routine is the reference — delegate.
-            post = RecvPost(me, kq[0], wsrc, tag, buf, ctx._clock, req, seq)
-            fabric._complete_pair(best, post)
-            return
-        arrival = best.arrival
-        pt = ctx._clock
-        recv_done = (arrival if arrival > pt else pt) + best.recv_overhead
-        req.done = True
-        req.completion_time = recv_done
-        st = req.status
-        st.source = best.src
-        st.tag = best.tag
-        data = best.data
-        if buf is not None:
-            if (
-                type(data) is np.ndarray
-                and data.shape == buf.shape
-                and data.dtype == buf.dtype
-            ):
-                np.copyto(buf, data)
-                st.count = data.size
-            else:
-                st.count = deliver_into(buf, data)
-        else:
-            st.count = (
-                int(data.size) if isinstance(data, np.ndarray) else 1
-            )
-            req.data = data
+    # A post that raises (a hang or crash fault firing at the fabric's
+    # poll) deoptimizes before the exception unwinds the rank.
 
     # -- standalone lean point-to-point (requests escape to the caller) ------
 
@@ -607,13 +417,14 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
         ):
             deopt(jit)
             return Communicator.Isend(comm, buf, dest, tag)
-        dst, kqs = consts[jit.cursor]
+        dst = consts[jit.cursor]
         _advance(1)
         req = Request(ctx, "send", ("Isend(dest={}, tag={})", dest, tag))
-        if faults is not None:
-            _poll()
-        _send_eager(dst, kqs, tag, sb, sb.nbytes, True)
-        _complete_send_req(req, tag)
+        try:
+            post_send(ctx, pkey, dst, tag, sb, sb.nbytes, req)
+        except BaseException:
+            deopt(jit)
+            raise
         return req
 
     def lean_isend(obj, dest, tag=0):
@@ -621,20 +432,21 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
         if e[0] != "s" or e[1] != dest or e[2] != tag or comm._freed:
             deopt(jit)
             return Communicator.isend(comm, obj, dest, tag)
-        payload = clone_payload(obj)
+        payload = _payload(obj)
         nb = payload_nbytes(payload)
         if nb != e[3]:
             deopt(jit)
-            # Re-posting through the interpreter would clone twice;
-            # the clone is semantically idempotent, so reuse it.
+            # Re-posting through the interpreter would snapshot twice;
+            # the snapshot is semantically idempotent, so reuse it.
             return Communicator.isend(comm, payload, dest, tag)
-        dst, kqs = consts[jit.cursor]
+        dst = consts[jit.cursor]
         _advance(1)
         req = Request(ctx, "send", ("isend(dest={}, tag={})", dest, tag))
-        if faults is not None:
-            _poll()
-        _send_eager(dst, kqs, tag, payload, nb)
-        _complete_send_req(req, tag)
+        try:
+            post_send(ctx, pkey, dst, tag, payload, nb, req)
+        except BaseException:
+            deopt(jit)
+            raise
         return req
 
     def lean_Irecv(buf, source=ANY_SOURCE, tag=ANY_TAG):
@@ -642,23 +454,14 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
         if e[0] != "R" or e[1] != source or e[2] != tag or comm._freed:
             deopt(jit)
             return Communicator.Irecv(comm, buf, source, tag)
-        rc = consts[jit.cursor]
+        src = consts[jit.cursor]
         _advance(1)
         req = Request(ctx, "recv", ("Irecv(source={}, tag={})", source, tag))
-        if faults is not None:
-            _poll()
-        wsrc = rc[0]
-        rbuf = np.asarray(buf)
-        best, seq = _recv_match(kq_recv, wsrc, tag)
-        if best is not None:
-            _recv_inline(req, best, kq_recv, wsrc, tag, rbuf, seq)
-        else:
-            post = RecvPost(me, pkey, wsrc, tag, rbuf, ctx._clock, req, seq)
-            q = recvs.get(kq_recv)
-            if q is None:
-                recvs[kq_recv] = [post]
-            else:
-                q.append(post)
+        try:
+            post_recv(ctx, pkey, src, tag, np.asarray(buf), req)
+        except BaseException:
+            deopt(jit)
+            raise
         return req
 
     def lean_irecv(source=ANY_SOURCE, tag=ANY_TAG):
@@ -666,22 +469,14 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
         if e[0] != "r" or e[1] != source or e[2] != tag or comm._freed:
             deopt(jit)
             return Communicator.irecv(comm, source, tag)
-        rc = consts[jit.cursor]
+        src = consts[jit.cursor]
         _advance(1)
         req = Request(ctx, "recv", ("irecv(source={}, tag={})", source, tag))
-        if faults is not None:
-            _poll()
-        wsrc = rc[0]
-        best, seq = _recv_match(kq_recv, wsrc, tag)
-        if best is not None:
-            _recv_inline(req, best, kq_recv, wsrc, tag, None, seq)
-        else:
-            post = RecvPost(me, pkey, wsrc, tag, None, ctx._clock, req, seq)
-            q = recvs.get(kq_recv)
-            if q is None:
-                recvs[kq_recv] = [post]
-            else:
-                q.append(post)
+        try:
+            post_recv(ctx, pkey, src, tag, None, req)
+        except BaseException:
+            deopt(jit)
+            raise
         return req
 
     # -- fused g_Sendrecv ----------------------------------------------------
@@ -719,80 +514,30 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
             return Communicator.g_Sendrecv(
                 comm, sendbuf, dest, recvbuf, source, sendtag, recvtag
             )
-        rc = consts[cur]
-        sc = consts[nxt]
-        cur = jit.cursor + 2
+        src = consts[cur]
+        dst = consts[nxt]
+        cur += 2
         if cur >= L:
             cur -= L
             jit.wraps += 1
         jit.cursor = cur
-        # Receive half (posted first, as the interpreter does).
-        if faults is not None:
-            _poll()
-        wsrc = rc[0]
         rbuf = recvbuf if type(recvbuf) is np.ndarray else np.asarray(recvbuf)
-        # _recv_match, inlined at its hottest call-site.
-        seq = fabric._seq + 1
-        fabric._seq = seq
-        envs = sends.get(kq_recv)
-        best = None
-        if envs:
-            for env in envs:
-                if env.src == wsrc and env.tag == recvtag and (
-                    best is None or env.seq < best.seq
-                ):
-                    best = env
-            if best is not None:
-                envs.remove(best)
-                if not envs:
-                    del sends[kq_recv]
-        if best is not None and not best.rndv:
-            # Eager message already queued: the receive completes
-            # inline, so the pooled Request is never observed by
-            # anyone — compute the completion stamp directly
-            # (_recv_inline's arithmetic) and apply it after the send,
-            # exactly where g_waitall would.
-            arrival = best.arrival
-            pt = ctx._clock
-            recv_done = (arrival if arrival > pt else pt) + best.recv_overhead
-            d = best.data
-            if (
-                type(d) is np.ndarray
-                and d.shape == rbuf.shape
-                and d.dtype == rbuf.dtype
-            ):
-                np.copyto(rbuf, d)
-            else:
-                deliver_into(rbuf, d)
-            if faults is not None:
-                _poll()
-            _send_eager(sc[0], sc[1], sendtag, sb, sb.nbytes, True)
-            if recv_done > ctx._clock:
-                ctx._clock = recv_done
-            return ()
         rreq = pooled
         rreq.done = False
         rreq._waited = False
         rreq.data = None
         rreq.waiter = None
-        pending = best is None
-        if pending:
-            post = RecvPost(me, pkey, wsrc, recvtag, rbuf, ctx._clock,
-                            rreq, seq)
-            q = recvs.get(kq_recv)
-            if q is None:
-                recvs[kq_recv] = [post]
-            else:
-                q.append(post)
-        else:
-            _recv_inline(rreq, best, kq_recv, wsrc, recvtag, rbuf, seq)
-        # Send half (snapshotted lazily inside, only if it escapes).
-        if faults is not None:
-            _poll()
-        _send_eager(sc[0], sc[1], sendtag, sb, sb.nbytes, True)
-        # Waits: g_waitall([rreq, sreq]).  The eager sreq is complete
-        # at a timestamp <= now (a clock no-op) — skipped entirely.
-        if pending and not rreq.done:
+        pooled_send.done = False
+        # Receive half first, as the interpreter posts it.
+        try:
+            post_recv(ctx, pkey, src, recvtag, rbuf, rreq)
+            post_send(ctx, pkey, dst, sendtag, sb, sb.nbytes, pooled_send)
+        except BaseException:
+            deopt(jit)
+            raise
+        # Waits: g_waitall([rreq, sreq]).  The eager send completed at
+        # the current clock (a clock no-op) — skipped entirely.
+        if not rreq.done:
             return _block_tail(rreq)
         ct = rreq.completion_time
         if ct > ctx._clock:

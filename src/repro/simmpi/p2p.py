@@ -1,11 +1,18 @@
 """Point-to-point message fabric: posting, matching, completion.
 
 The fabric owns the unexpected-message and posted-receive queues of every
-(communication-context, destination) pair and implements MPI matching
-semantics:
+(communication-context, destination) pair and is the only code that
+queues, matches and completes messages on them: interpreted
+communicator calls and macro-step's replayed calls
+(:mod:`repro.simmpi.macrostep`) both post through
+:meth:`MessageFabric.post_send` / :meth:`~MessageFabric.post_recv`.  It
+implements MPI matching semantics:
 
 * messages between a (src, dst, context) pair are matched in send-post
-  order for a given tag (non-overtaking);
+  order for a given tag (non-overtaking).  Each (context, destination)
+  send queue is kept in post (``seq``) order — envelopes are appended at
+  the tail and removed from anywhere — so a specific-source receive
+  takes the *first* matching envelope of its queue;
 * a receive names a specific source+tag, or wildcards
   :data:`~repro.simmpi.api.ANY_SOURCE` / :data:`~repro.simmpi.api.ANY_TAG`;
   wildcard-source receives pick the candidate with the earliest arrival
@@ -15,6 +22,16 @@ semantics:
   local copy; the rendezvous protocol (large messages) holds the sender
   until the receiver has posted, which is how real MPI back-pressure
   shows up as "late receiver" time in the paper's sections.
+
+**Snapshot rule.**  A plain ``ndarray`` payload is the sender's live
+buffer: the fabric copies it only if it outlives the post — when the
+message is queued, seen by a blocking probe, or handed to an
+object-mode receive.  A buffer receive that consumes the send inline
+copies straight from the sender's buffer; no user code runs in between,
+so every receiver sees the bytes of post time.  Any other payload
+arrives already snapshotted by the caller
+(:func:`~repro.simmpi.datatypes.clone_payload`), because its pickled
+size is measured on the snapshot.
 
 All queue manipulation happens inside rank bodies, which every engine
 executes one at a time — under the thread-free engine literally on one
@@ -32,9 +49,14 @@ import numpy as np
 
 from repro.errors import MPIError
 from repro.simmpi.api import ANY_SOURCE, ANY_TAG
-from repro.simmpi.datatypes import deliver_into, is_buffer_payload
+from repro.simmpi.datatypes import clone_payload, deliver_into, is_buffer_payload
 from repro.simmpi.network import NetworkModel
 from repro.simmpi.request import Request
+
+
+def _snapshot(data: Any) -> Any:
+    """The fabric's own copy of a payload that outlives its post."""
+    return clone_payload(data) if type(data) is np.ndarray else data
 
 
 class Envelope:
@@ -43,7 +65,6 @@ class Envelope:
     __slots__ = (
         "src",
         "dst",
-        "ckey",
         "tag",
         "data",
         "nbytes",
@@ -61,7 +82,6 @@ class Envelope:
         self,
         src: int,
         dst: int,
-        ckey: Tuple,
         tag: int,
         data: Any,
         nbytes: int,
@@ -76,7 +96,6 @@ class Envelope:
     ):
         self.src = src
         self.dst = dst
-        self.ckey = ckey
         self.tag = tag
         self.data = data
         self.nbytes = nbytes
@@ -116,40 +135,25 @@ class RecvPost:
     consume the matched envelope, mirroring ``MPI_Probe``.
     """
 
-    __slots__ = (
-        "dst", "ckey", "source", "tag", "buf", "post_time", "req", "seq",
-        "probe",
-    )
+    __slots__ = ("dst", "source", "tag", "buf", "post_time", "req", "probe")
 
     def __init__(
         self,
         dst: int,
-        ckey: Tuple,
         source: int,
         tag: int,
         buf: Optional[np.ndarray],
         post_time: float,
         req: Request,
-        seq: int,
         probe: bool = False,
     ):
         self.dst = dst
-        self.ckey = ckey
         self.source = source
         self.tag = tag
         self.buf = buf
         self.post_time = post_time
         self.req = req
-        self.seq = seq
         self.probe = probe
-
-    def matches(self, env: Envelope) -> bool:
-        """MPI matching rule between this post and an envelope."""
-        if self.source != ANY_SOURCE and self.source != env.src:
-            return False
-        if self.tag != ANY_TAG and self.tag != env.tag:
-            return False
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         src = "ANY" if self.source == ANY_SOURCE else self.source
@@ -166,12 +170,10 @@ class MessageFabric:
         self._sends: Dict[Tuple[Tuple, int], List[Envelope]] = {}
         self._recvs: Dict[Tuple[Tuple, int], List[RecvPost]] = {}
         self._seq = 0
-
-    # -- helpers ----------------------------------------------------------------
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
+        self._faults = engine.faults
+        self._on_recv = engine.tools.wants("on_recv")
+        self._eager = network.machine.eager_threshold
+        self._intra_bw = network.machine.intra_node.bandwidth
 
     def pending_summary(self) -> List[str]:
         """Human-readable dump of unmatched traffic (for deadlock reports)."""
@@ -198,68 +200,87 @@ class MessageFabric:
     ) -> None:
         """Post a message; may complete a pending receive immediately.
 
-        The caller (sender's context) has already advanced its clock by the
-        send overhead; ``req`` is the sender-side request.  Eager sends
-        complete ``req`` here; rendezvous sends leave it pending until a
-        receive matches.
+        ``req`` is the sender-side request.  An eager send charges the
+        sender's overhead and buffering copy and completes ``req`` here;
+        a rendezvous send leaves it pending until a receive matches.
+        ``data`` follows the module's snapshot rule.
         """
-        self.engine.fault_poll(ctx)
+        if self._faults is not None:
+            self._faults.poll(ctx)
         src = ctx.rank
-        timing = self.network.message_timing(src, dst, nbytes)
-        rndv = nbytes > self.network.machine.eager_threshold
-        depart = ctx.now
+        net = self.network
+        o_send, latency, transfer, o_recv = net.message_timing(src, dst, nbytes)
+        depart = ctx._clock
+        self._seq = seq = self._seq + 1
+        rndv = nbytes > self._eager
         if rndv:
-            arrival = np.inf  # computed when the receiver is known
+            arrival = np.inf  # routed once the receiver is known
         else:
             # The payload is serialised through the sender's port (LogGP
             # gap), so consecutive sends from one rank queue up.
-            _, arrival = self.network.route(
-                src, dst, depart + timing.send_overhead, timing.transfer,
-                timing.latency,
-            )
+            arrival = net.route(src, dst, depart + o_send, transfer, latency)[1]
             # Eager: the sender is free once the message is buffered; the
             # buffering memcpy is charged to the sender's clock.
-            copy_cost = timing.send_overhead + nbytes / self.network.machine.intra_node.bandwidth
-            ctx._advance(copy_cost)
-            req.complete(ctx.now, source=src, tag=tag)
-        env = Envelope(
-            src,
-            dst,
-            ckey,
-            tag,
-            data,
-            nbytes,
-            rndv,
-            depart,
-            timing.latency,
-            timing.transfer,
-            timing.recv_overhead,
-            arrival,
-            self._next_seq(),
-            None if not rndv else req,
-        )
-        # Try to match an already-posted receive.  Blocking probes that
-        # match are completed (without consuming the message) and removed
-        # before real receives are considered.
-        posts = self._recvs.get((ckey, dst))
+            ctx._clock = clock = depart + (o_send + nbytes / self._intra_bw)
+            req.done = True
+            req.completion_time = clock
+            st = req.status
+            st.source = src
+            st.tag = tag
+        key = (ckey, dst)
+        env = None
+        # Match already-posted receives in post order: matching blocking
+        # probes complete (without consuming the message) and leave the
+        # queue until the first matching receive takes it.
+        posts = self._recvs.get(key)
         if posts:
-            remaining = []
-            consumed = False
-            for post in posts:
-                if consumed or not post.matches(env):
-                    remaining.append(post)
-                elif post.probe:
-                    self._complete_probe(env, post)
+            i = 0
+            while i < len(posts):
+                post = posts[i]
+                psrc = post.source
+                ptag = post.tag
+                if (psrc != ANY_SOURCE and psrc != src) or (
+                    ptag != ANY_TAG and ptag != tag
+                ):
+                    i += 1
+                    continue
+                del posts[i]
+                if env is None and (rndv or post.probe):
+                    env = Envelope(
+                        src, dst, tag, _snapshot(data), nbytes, rndv, depart,
+                        latency, transfer, o_recv, arrival, seq,
+                        req if rndv else None,
+                    )
+                if post.probe:
+                    self._complete_probe(env, post.post_time, post.req)
+                    continue
+                if not posts:
+                    del self._recvs[key]
+                buf = post.buf
+                if env is not None:
+                    self._complete_pair(env, post.post_time, buf, post.req)
                 else:
-                    self._complete_pair(env, post)
-                    consumed = True
-            if remaining:
-                self._recvs[(ckey, dst)] = remaining
-            else:
-                del self._recvs[(ckey, dst)]
-            if consumed:
+                    # Eager, consumed inline: no envelope is built.
+                    pt = post.post_time
+                    self._finish(
+                        post.req, (arrival if arrival > pt else pt) + o_recv,
+                        src, dst, tag, nbytes,
+                        data if buf is not None else _snapshot(data), buf,
+                    )
                 return
-        self._sends.setdefault((ckey, dst), []).append(env)
+            if not posts:
+                del self._recvs[key]
+        if env is None:
+            env = Envelope(
+                src, dst, tag, _snapshot(data), nbytes, rndv, depart,
+                latency, transfer, o_recv, arrival, seq,
+                req if rndv else None,
+            )
+        envs = self._sends.get(key)
+        if envs is None:
+            self._sends[key] = [env]
+        else:
+            envs.append(env)
 
     def post_recv(
         self,
@@ -271,36 +292,41 @@ class MessageFabric:
         req: Request,
     ) -> None:
         """Post a receive; may complete against an unexpected message."""
-        self.engine.fault_poll(ctx)
-        dst = ctx.rank
-        post = RecvPost(dst, ckey, source, tag, buf, ctx.now, req, self._next_seq())
-        envs = self._sends.get((ckey, dst))
+        if self._faults is not None:
+            self._faults.poll(ctx)
+        key = (ckey, ctx.rank)
+        envs = self._sends.get(key)
         if envs:
-            match = self._pick_send(envs, post)
-            if match is not None:
-                envs.remove(match)
+            i = self._match(envs, source, tag)
+            if i >= 0:
+                env = envs[i]
+                del envs[i]
                 if not envs:
-                    del self._sends[(ckey, dst)]
-                self._complete_pair(match, post)
+                    del self._sends[key]
+                self._complete_pair(env, ctx._clock, buf, req)
                 return
-        self._recvs.setdefault((ckey, dst), []).append(post)
+        post = RecvPost(ctx.rank, source, tag, buf, ctx._clock, req)
+        posts = self._recvs.get(key)
+        if posts is None:
+            self._recvs[key] = [post]
+        else:
+            posts.append(post)
 
     def post_probe(
         self, ctx, ckey: Tuple, source: int, tag: int, req: Request
     ) -> None:
         """Post a blocking probe: completes when a matching message is
         visible, without consuming it (``MPI_Probe``)."""
-        self.engine.fault_poll(ctx)
+        if self._faults is not None:
+            self._faults.poll(ctx)
         dst = ctx.rank
-        post = RecvPost(
-            dst, ckey, source, tag, None, ctx.now, req, self._next_seq(),
-            probe=True,
-        )
         env = self.peek(ckey, dst, source, tag)
         if env is not None:
-            self._complete_probe(env, post)
+            self._complete_probe(env, ctx._clock, req)
             return
-        self._recvs.setdefault((ckey, dst), []).append(post)
+        self._recvs.setdefault((ckey, dst), []).append(
+            RecvPost(dst, source, tag, None, ctx._clock, req, probe=True)
+        )
 
     def peek(
         self, ckey: Tuple, dst: int, source: int, tag: int
@@ -310,67 +336,85 @@ class MessageFabric:
         envs = self._sends.get((ckey, dst))
         if not envs:
             return None
-        fake = RecvPost(dst, ckey, source, tag, None, 0.0, None, 0, probe=True)
-        return self._pick_send(envs, fake)
+        i = self._match(envs, source, tag)
+        return envs[i] if i >= 0 else None
 
-    def _complete_probe(self, env: Envelope, post: RecvPost) -> None:
-        t = max(env.visible_time, post.post_time)
-        post.req.complete(
-            t, source=env.src, tag=env.tag, count=env.element_count()
-        )
-        self.engine.wake_if_waiting(post.req)
+    @staticmethod
+    def _match(envs: List[Envelope], source: int, tag: int) -> int:
+        """Index of the envelope a receive for ``(source, tag)`` takes,
+        or -1.
 
-    def _pick_send(self, envs: List[Envelope], post: RecvPost) -> Optional[Envelope]:
-        """Choose the envelope a receive matches, honouring MPI order.
-
-        Specific-source receives take the oldest matching message from that
-        source (non-overtaking).  Wildcard-source receives take the
-        earliest-arriving candidate, breaking ties deterministically.
+        A specific-source receive takes the first match: the queue is in
+        post order, so that is the oldest message from that source
+        (non-overtaking).  A wildcard-source receive takes the
+        earliest-arriving candidate — a rendezvous message counts from
+        its departure — ties going to the lowest source, then to the
+        earliest post (the strict comparisons keep the first of equals).
         """
-        candidates = [e for e in envs if post.matches(e)]
-        if not candidates:
-            return None
-        if post.source != ANY_SOURCE:
-            return min(candidates, key=lambda e: e.seq)
-        return min(
-            candidates,
-            key=lambda e: (e.depart if np.isinf(e.arrival) else e.arrival, e.src, e.seq),
-        )
+        if source != ANY_SOURCE:
+            for i, env in enumerate(envs):
+                if env.src == source and (tag == ANY_TAG or env.tag == tag):
+                    return i
+            return -1
+        best = -1
+        best_t = best_src = 0
+        for i, env in enumerate(envs):
+            if tag != ANY_TAG and env.tag != tag:
+                continue
+            t = env.depart if env.rndv else env.arrival
+            if best < 0 or t < best_t or (t == best_t and env.src < best_src):
+                best, best_t, best_src = i, t, env.src
+        return best
 
     # -- completion ----------------------------------------------------------------
 
-    def _complete_pair(self, env: Envelope, post: RecvPost) -> None:
+    def _complete_probe(self, env: Envelope, post_time: float, req: Request) -> None:
+        t = max(env.visible_time, post_time)
+        req.complete(t, source=env.src, tag=env.tag, count=env.element_count())
+        self.engine.wake_if_waiting(req)
+
+    def _complete_pair(
+        self, env: Envelope, post_time: float, buf: Optional[np.ndarray],
+        req: Request,
+    ) -> None:
         """Complete a matched (send, recv) pair and wake parked ranks."""
         if env.rndv:
             # Transfer starts once both sides are ready, then serialises
             # through the sender's port before the propagation delay.
-            t_start = max(env.depart, post.post_time)
             ser_end, arrival = self.network.route(
-                env.src, env.dst, t_start, env.transfer, env.latency
+                env.src, env.dst, max(env.depart, post_time), env.transfer,
+                env.latency,
             )
-            if env.send_req is not None and not env.send_req.done:
-                env.send_req.complete(ser_end, source=env.src, tag=env.tag)
-                self.engine.wake_if_waiting(env.send_req)
+            sreq = env.send_req
+            sreq.complete(ser_end, source=env.src, tag=env.tag)
+            self.engine.wake_if_waiting(sreq)
         else:
             arrival = env.arrival
-        recv_done = max(arrival, post.post_time) + env.recv_overhead
+        self._finish(
+            req, (arrival if arrival > post_time else post_time)
+            + env.recv_overhead, env.src, env.dst, env.tag, env.nbytes,
+            env.data, buf,
+        )
 
-        if post.buf is not None:
-            count = deliver_into(post.buf, env.data)
-            post.req.complete(recv_done, source=env.src, tag=env.tag, count=count)
+    def _finish(
+        self, req: Request, recv_done: float, src: int, dst: int, tag: int,
+        nbytes: int, data: Any, buf: Optional[np.ndarray],
+    ) -> None:
+        """Complete receive ``req`` at ``recv_done`` with a matched payload."""
+        req.done = True
+        req.completion_time = recv_done
+        st = req.status
+        st.source = src
+        st.tag = tag
+        if buf is not None:
+            st.count = deliver_into(buf, data)
         else:
-            count = 1 if not is_buffer_payload(env.data) else int(env.data.size)
-            post.req.complete(
-                recv_done, source=env.src, tag=env.tag, count=count, data=env.data
-            )
-            if env.data is None:
-                # None payloads are legal object messages; mark done anyway.
-                post.req.data = None
-        if self.engine.tools.wants("on_recv"):
-            self.engine.tools.dispatch(
-                "on_recv", env.dst, env.src, env.nbytes, env.tag, recv_done
-            )
-        self.engine.wake_if_waiting(post.req)
+            st.count = int(data.size) if is_buffer_payload(data) else 1
+            req.data = data
+        if self._on_recv:
+            self.engine.tools.dispatch("on_recv", dst, src, nbytes, tag, recv_done)
+        if req.waiter is not None:
+            self.engine.wake_if_waiting(req)
 
     # -- diagnostics ----------------------------------------------------------------
 

@@ -18,6 +18,19 @@ def test_world_shape():
         assert rank == r and size == 4 and group == (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("engine", ["threads", "threadfree"])
+def test_world_communicators_share_one_group(engine):
+    """The world group is built once per run, not once per rank."""
+
+    def main(ctx):
+        return ctx.comm._group
+        yield  # a generator main, so it runs on either engine
+
+    groups = mpi(8, main, engine=engine).results
+    assert groups[0].ranks == tuple(range(8))
+    assert all(g is groups[0] for g in groups)
+
+
 def test_group_rejects_duplicates():
     with pytest.raises(InvalidRankError):
         Group([0, 1, 1])

@@ -9,8 +9,10 @@ from repro.errors import (
     RequestError,
     TruncationError,
 )
+from repro.machine.spec import CoreSpec, MachineSpec, NetworkTier, NodeSpec
 from repro.simmpi.api import ANY_SOURCE, ANY_TAG, PROC_NULL
 from repro.simmpi.request import Status, waitall
+from repro.simmpi.sched import g_wait, g_waitall
 
 from tests.conftest import mpi
 
@@ -57,6 +59,73 @@ def test_send_snapshots_payload_against_later_mutation():
     assert np.array_equal(res.results[1], np.ones(10))
 
 
+#: Snapshot cases: how the payload leaves the sender's Isend call.
+#: ``queued`` — no receive is posted yet; ``probe`` — a blocking probe
+#: posted earlier sees it; ``irecv`` — an object-mode receive posted
+#: earlier takes it; ``Irecv`` — a buffer receive posted earlier
+#: consumes it inline.
+SNAPSHOT_CASES = ("queued", "probe", "irecv", "Irecv")
+#: Threads oracle, and the thread-free engine with macro-step on.
+SNAPSHOT_ENGINES = {
+    "threads": {"engine": "threads"},
+    "macrostep": {"engine": "threadfree", "macrostep": True},
+}
+_SNAPSHOT_ROUNDS = 6
+
+
+def _snapshot_main(case):
+    def main(ctx):
+        comm = ctx.comm
+        if ctx.rank == 0:
+            arr = np.zeros(10)
+            for r in range(_SNAPSHOT_ROUNDS):
+                if case != "queued":
+                    # Wait until the receiver has posted.
+                    yield from comm.g_recv(source=1, tag=9)
+                arr[:] = r
+                req = comm.Isend(arr, dest=1, tag=3)
+                arr[:] = -1  # mutate right after the post
+                yield from g_wait(req)
+            return None
+        got = []
+        for _ in range(_SNAPSHOT_ROUNDS):
+            buf = np.zeros(10)
+            if case == "queued":
+                yield from comm.g_Recv(buf, source=0, tag=3)
+                got.append(buf.copy())
+                continue
+            # Rank 0 cannot run before this rank blocks in the post below.
+            comm.isend(None, dest=0, tag=9)
+            if case == "probe":
+                st = yield from comm.g_probe(source=0, tag=3)
+                assert st.count == 10
+                yield from comm.g_Recv(buf, source=0, tag=3)
+            elif case == "irecv":
+                buf = yield from g_wait(comm.irecv(source=0, tag=3))
+            else:
+                yield from g_wait(comm.Irecv(buf, source=0, tag=3))
+            got.append(buf.copy())
+        return got
+
+    return main
+
+
+@pytest.mark.parametrize("engine", sorted(SNAPSHOT_ENGINES))
+@pytest.mark.parametrize("case", SNAPSHOT_CASES)
+def test_send_snapshot_holds_on_every_escape_path(case, engine):
+    """The sender mutates its buffer right after Isend returns, whichever
+    way the payload leaves the call."""
+    res = mpi(2, _snapshot_main(case), **SNAPSHOT_ENGINES[engine])
+    for r, got in enumerate(res.results[1]):
+        assert np.array_equal(got, np.full(10, float(r)))
+    if engine == "macrostep":
+        # The sender's steady Isend loop is replayed, so the lean path
+        # is what posts most rounds.
+        assert res.rounds_replayed > 0
+    oracle = mpi(2, _snapshot_main(case), engine="threads")
+    assert res.clocks == oracle.clocks
+
+
 def test_fifo_order_same_source_same_tag():
     def main(ctx):
         if ctx.rank == 0:
@@ -67,6 +136,150 @@ def test_fifo_order_same_source_same_tag():
 
     res = mpi(2, main)
     assert res.results[1] == list(range(10))
+
+
+# -- matching order ----------------------------------------------------------
+
+_LAT = 1e-5
+_BW = 1e8
+_EAGER_ELEMS = 8        # 64 B: eager
+_RNDV_ELEMS = 4096      # 32 KiB: above the 16 KiB eager threshold
+
+#: What each sender posts to rank 0, in post order: (tag, elements).
+#: Tags repeat within a source and eager and rendezvous sizes alternate,
+#: so a rule other than "oldest matching message" picks differently.
+_SENDS = {
+    1: [(1, _EAGER_ELEMS), (2, _RNDV_ELEMS), (1, _RNDV_ELEMS),
+        (2, _EAGER_ELEMS), (1, _EAGER_ELEMS), (3, _RNDV_ELEMS)],
+    2: [(2, _RNDV_ELEMS), (1, _EAGER_ELEMS), (2, _EAGER_ELEMS),
+        (1, _RNDV_ELEMS), (3, _EAGER_ELEMS)],
+    3: [(1, _EAGER_ELEMS), (1, _RNDV_ELEMS), (2, _EAGER_ELEMS),
+        (2, _RNDV_ELEMS)],
+}
+#: Rank 0's specific-source receives, interleaving sources, tags and
+#: ANY_TAG; together they drain every message above.
+_RECVS = [
+    (1, 1), (2, ANY_TAG), (3, 2), (1, 2), (2, 1), (1, ANY_TAG), (3, ANY_TAG),
+    (2, 2), (1, 3), (3, 1), (2, ANY_TAG), (1, ANY_TAG), (3, ANY_TAG),
+    (2, ANY_TAG), (1, ANY_TAG),
+]
+#: Engines the matching tests compare.
+_MATCH_ENGINES = {
+    "threads": {"engine": "threads"},
+    "threadfree": {"engine": "threadfree", "macrostep": False},
+    "macrostep": {"engine": "threadfree", "macrostep": True},
+}
+
+
+def _flat_machine(cores=4, nodes=1):
+    node = NodeSpec(
+        sockets=1, cores_per_socket=cores,
+        core=CoreSpec(flops=1e9, hw_threads=1, ht_efficiency=0.0),
+        mem_bandwidth=1e12,
+    )
+    tier = NetworkTier(latency=_LAT, bandwidth=_BW, jitter=0.0)
+    return MachineSpec(name="flat", nodes=nodes, node=node,
+                       intra_node=tier, inter_node=tier)
+
+
+def _send_queues_in_post_order(ctx):
+    """Every send queue of the fabric is in strictly increasing seq order."""
+    return all(
+        all(a.seq < b.seq for a, b in zip(envs, envs[1:]))
+        for envs in ctx.engine.fabric._sends.values()
+    )
+
+
+def _oldest_match_main(ctx):
+    comm = ctx.comm
+    if ctx.rank != 0:
+        reqs = [
+            comm.isend(np.full(n, 100.0 * ctx.rank + k), dest=0, tag=tag)
+            for k, (tag, n) in enumerate(_SENDS[ctx.rank])
+        ]
+        # Every message is queued before rank 0 leaves the barrier.
+        yield from comm.g_barrier()
+        yield from g_waitall(reqs)
+        return None
+    yield from comm.g_barrier()
+    ordered = _send_queues_in_post_order(ctx)
+    got = []
+    for source, tag in _RECVS:
+        st = Status()
+        data = yield from comm.g_recv(source=source, tag=tag, status=st)
+        ordered = ordered and _send_queues_in_post_order(ctx)
+        got.append((st.source, st.tag, int(data[0]) % 100))
+    return got, ordered
+
+
+def _expected_oldest_matches():
+    pending = {src: list(enumerate(posts)) for src, posts in _SENDS.items()}
+    out = []
+    for source, tag in _RECVS:
+        queue = pending[source]
+        i = next(i for i, (_, (t, _)) in enumerate(queue)
+                 if tag == ANY_TAG or t == tag)
+        k, (t, _) = queue.pop(i)
+        out.append((source, t, k))
+    return out
+
+
+@pytest.mark.parametrize("engine", sorted(_MATCH_ENGINES))
+def test_specific_source_receive_takes_oldest_match(engine):
+    res = mpi(4, _oldest_match_main, machine=_flat_machine(),
+              **_MATCH_ENGINES[engine])
+    got, ordered = res.results[0]
+    assert got == _expected_oldest_matches()
+    assert ordered
+    oracle = mpi(4, _oldest_match_main, machine=_flat_machine(),
+                 engine="threads")
+    assert res.results == oracle.results
+    assert res.clocks == oracle.clocks
+
+
+def _any_source_tie_main(ctx):
+    """Four messages reach rank 0 at one instant: rank 3's 8000-byte
+    eager message holds rank 0's inbound port, and the zero-byte
+    messages posted behind it (rank 2's, then rank 1's two) all finish
+    streaming in when it does."""
+    comm = ctx.comm
+    empty = np.zeros(0)
+    if ctx.rank == 0:
+        # Posted first, so it cannot see the messages below; it returns
+        # once all of them are queued.
+        yield from comm.g_recv(source=1, tag=99)
+        got = []
+        for _ in range(4):
+            st = Status()
+            yield from comm.g_recv(source=ANY_SOURCE, tag=ANY_TAG, status=st)
+            got.append((st.source, st.tag))
+        return got
+    if ctx.rank == 3:
+        comm.send("go", dest=2)
+        comm.Isend(np.zeros(1000), dest=0, tag=30)
+        return None
+    # A relay fixes the post order: rank 3, then rank 2, then rank 1.
+    yield from comm.g_recv(source=ctx.rank + 1)
+    if ctx.rank == 2:
+        comm.Isend(empty, dest=0, tag=20)
+        comm.send("go", dest=1)
+    else:
+        comm.Isend(empty, dest=0, tag=10)
+        comm.Isend(empty, dest=0, tag=11)
+        comm.send(None, dest=0, tag=99)
+    return None
+
+
+@pytest.mark.parametrize("engine", sorted(_MATCH_ENGINES))
+def test_any_source_tie_goes_to_lowest_source_then_post_order(engine):
+    res = mpi(4, _any_source_tie_main, machine=_flat_machine(),
+              **_MATCH_ENGINES[engine])
+    # Equal arrivals: the lowest source wins although rank 3 and rank 2
+    # posted first; rank 1's two messages keep their post order.
+    assert res.results[0] == [(1, 10), (1, 11), (2, 20), (3, 30)]
+    oracle = mpi(4, _any_source_tie_main, machine=_flat_machine(),
+                 engine="threads")
+    assert res.clocks == oracle.clocks
 
 
 def test_tag_selectivity_out_of_order_retrieval():
