@@ -31,10 +31,11 @@ Bars
 * allreduce-heavy p=1024: >= 3x equivalent sched-steps/s (full mode).
 * halo2d p=256 steady state: slope of wall-clock vs step count —
   measured between 24 and 96 Jacobi sweeps, which cancels startup,
-  capture rounds and the REDUCE tail.  The honest measured ratio is
-  ~1.6x (the workload's own numpy, the section runtime and generator
-  resumption bound it; see docs/tuning.md), recorded as such with a
-  1.25x floor asserted.
+  capture rounds and the REDUCE tail.  The gated ratio is the median
+  over 9 interleaved (macro-step on, off) slope pairs.  The honest
+  measured ratio is ~1.3x (the workload's own numpy, the section
+  runtime and generator resumption bound it; see docs/tuning.md),
+  recorded as such with a 1.25x floor asserted.
 * p=4096 smoke: the default configuration completes at the largest
   scale and the artifact records the counters (``macrostep_p4096.txt``).
 
@@ -47,6 +48,7 @@ committed baseline.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 import numpy as np
@@ -169,45 +171,55 @@ def test_macrostep_allreduce_heavy_p1024():
         assert ratio >= 3.0
 
 
-def _halo_slope(p, steps_lo, steps_hi, reps, macrostep):
-    """Per-step steady-state cost: (T(hi) - T(lo)) / (hi - lo).
+def _halo_wall(p, steps, macrostep):
+    """Wall-clock of one threadfree halo2d run of ``steps`` sweeps."""
+    plugin = registry.get("halo2d")({"steps": steps})
+    t0 = time.perf_counter()
+    plugin.run(p, machine=_machine(p), seed=3,
+               engine="threadfree", macrostep=macrostep)
+    return time.perf_counter() - t0
 
-    The difference quotient cancels everything that happens once per
-    run — engine setup, the capture rounds, the REDUCE tail — leaving
-    the marginal cost of one steady-state Jacobi sweep.
+
+def _halo_slope_pairs(p, steps_lo, steps_hi, pairs):
+    """Interleaved per-step steady-state costs, one (on, off) per pair.
+
+    Each slope is the difference quotient (T(hi) - T(lo)) / (hi - lo),
+    which cancels everything that happens once per run — engine setup,
+    the capture rounds, the REDUCE tail — leaving the marginal cost of
+    one steady-state Jacobi sweep.  Within a pair the four runs go in
+    ABBA order (lo: A then B, hi: B then A), and A alternates between
+    pairs, so a host that speeds up or slows down during the pair
+    charges both modes alike.
     """
-
-    def once(steps):
-        plugin = registry.get("halo2d")({"steps": steps})
-        t_best = None
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            plugin.run(p, machine=_machine(p), seed=3,
-                       engine="threadfree", macrostep=macrostep)
-            dt = time.perf_counter() - t0
-            t_best = dt if t_best is None else min(t_best, dt)
-        return t_best
-
-    return (once(steps_hi) - once(steps_lo)) / (steps_hi - steps_lo)
+    out = []
+    for i in range(pairs):
+        a, b = (True, False) if i % 2 == 0 else (False, True)
+        t_lo = {a: _halo_wall(p, steps_lo, a), b: _halo_wall(p, steps_lo, b)}
+        t_hi = {b: _halo_wall(p, steps_hi, b), a: _halo_wall(p, steps_hi, a)}
+        out.append(tuple((t_hi[m] - t_lo[m]) / (steps_hi - steps_lo)
+                         for m in (True, False)))
+    return out
 
 
 def test_macrostep_halo2d_p256_steady_state():
     """halo2d p=256: steady-state per-sweep cost, replay vs interpreter.
 
-    The honest number: replay wins ~1.6x on the marginal sweep.  The
+    The honest number: replay wins ~1.3x on the marginal sweep.  The
     remaining time is shared floor — the workload's own numpy halo
     assembly, section events and generator resumption — which replay
-    cannot remove (docs/tuning.md quantifies the split).  The asserted
-    floor is deliberately below the measured ratio so host noise does
-    not flake the suite; the recorded artifact carries the real value.
+    cannot remove (docs/tuning.md quantifies the split).  The gated
+    ratio is the median over interleaved (on, off) slope pairs: a
+    single min-of-N timing per mode let one noisy run swing the ratio
+    across the floor.  The asserted floor is deliberately below the
+    measured ratio; the recorded artifact carries the real value.
     """
     p = 64 if FAST_MODE else 256
     lo, hi = (12, 36) if FAST_MODE else (24, 96)
-    reps = 2 if FAST_MODE else 3
+    pairs = 9
 
-    slope_on = _halo_slope(p, lo, hi, reps, macrostep=True)
-    slope_off = _halo_slope(p, lo, hi, reps, macrostep=False)
-    ratio = slope_off / slope_on
+    slope_pairs = _halo_slope_pairs(p, lo, hi, pairs)
+    ratios = sorted(off / on for on, off in slope_pairs)
+    ratio = statistics.median(ratios)
 
     # Replay must stay bit-identical on the exact benchmark shape.
     plugin = registry.get("halo2d")({"steps": lo})
@@ -223,13 +235,17 @@ def test_macrostep_halo2d_p256_steady_state():
         "ranks": p,
         "steps_lo": lo,
         "steps_hi": hi,
-        "steady_state_s_per_step_interpreted": slope_off,
-        "steady_state_s_per_step_macrostep": slope_on,
+        "pairs": pairs,
+        "steady_state_s_per_step_interpreted": statistics.median(
+            off for _, off in slope_pairs),
+        "steady_state_s_per_step_macrostep": statistics.median(
+            on for on, _ in slope_pairs),
         "steady_state_speedup": ratio,
+        "steady_state_speedup_pairs": ratios,
         "target_speedup": 2.0,
-        "note": "shared floor (workload numpy, sections, generator "
-                "resumption) bounds the measured ratio near 1.6x; "
-                "see docs/tuning.md",
+        "note": "median of interleaved (on, off) slope pairs; shared floor "
+                "(workload numpy, sections, generator resumption) bounds "
+                "the measured ratio near 1.3x; see docs/tuning.md",
     }})
     if not FAST_MODE:
         assert ratio >= 1.25

@@ -26,10 +26,11 @@ The same program source runs in both modes:
   request to the rank's driver (the thread-free event loop, or
   :func:`~repro.simmpi.sched.drive_blocking` for a blocking call);
 * **analytic path** (default): the last-arriving rank drives *all* p
-  programs with :class:`_Replay`, a miniature copy of the engine
-  scheduler that picks the runnable virtual rank with the smallest
-  ``(clock, rank)`` key and runs it until its program yields a pending
-  request — the exact rule ``Engine._loop`` applies to rank threads.
+  programs with :class:`_Replay`, a miniature of the engines' event
+  loop that pops the runnable virtual rank with the smallest
+  ``(clock, rank)`` key through the engines' own
+  :meth:`~repro.simmpi.sched.ReadyHeap.pop_ready` and runs it until its
+  program yields a pending request.
   The replay posts through :class:`_LeanComm`, a transport that keeps
   only the fabric machinery a resolved collective can observe — every
   :class:`~repro.simmpi.network.NetworkModel` state change (jitter
@@ -523,67 +524,78 @@ class _LeanComm:
         self._completed.append(rreq)
 
 
+class _ReplayProg:
+    """One rank's collective program inside a :class:`_Replay`.
+
+    The scheduling record :meth:`ReadyHeap.pop_ready` reads (``state``,
+    ``ctx``), plus the program generator and the lean request it is
+    blocked on.
+    """
+
+    __slots__ = ("state", "ctx", "gen", "pending")
+
+    def __init__(self, ctx, gen):
+        self.state = _Replay._READY
+        self.ctx = ctx
+        self.gen = gen
+        self.pending = None
+
+
 class _Replay:
-    """Thread-free twin of ``Engine._loop`` for one collective.
+    """The engines' event loop, in miniature, for one collective.
 
     Drives all p generator programs of a gated invocation on the
-    resolver's thread, always advancing the runnable virtual rank with
-    the smallest ``(virtual clock, world rank)`` — the identical
-    scheduling rule the engine applies to rank threads — and running it
-    until its program yields a request that is still pending.  Every
-    program posts through :class:`_LeanComm`, whose jitter draws, port
-    reservations, clock advances and payload movement follow the
-    fabric's rules through the network model's own kernels, so the
-    replay is an order-preserving re-execution, not a model of one.
+    resolver's thread, popping through the engines' own
+    :meth:`ReadyHeap.pop_ready`: always the runnable virtual rank with
+    the smallest ``(virtual clock, world rank)``, run until its program
+    yields a request that is still pending.  Every program posts
+    through :class:`_LeanComm`, whose jitter draws, port reservations,
+    clock advances and payload movement follow the fabric's rules
+    through the network model's own kernels, so the replay is an
+    order-preserving re-execution, not a model of one.
     """
 
     _READY, _BLOCKED, _DONE, _FAILED = range(4)
 
     def __init__(self, entry: _GateEntry):
         self.entry = entry
-        self.ctxs = [comm.ctx for comm in entry.comms]
         self._sends: Dict[tuple, Any] = {}
         self._recvs: Dict[tuple, Any] = {}
         self.completed: List[Any] = []
-        net = self.ctxs[0].engine.network
-        self.gens = [
-            factory(_LeanComm(comm, net, self._sends, self._recvs,
-                              self.completed), entry.ckey, *args)
+        net = entry.comms[0].ctx.engine.network
+        self.progs = [
+            _ReplayProg(comm.ctx, factory(
+                _LeanComm(comm, net, self._sends, self._recvs, self.completed),
+                entry.ckey, *args))
             for comm, factory, args in zip(entry.comms, entry.factories,
                                            entry.args)
         ]
 
     def run(self) -> None:
         entry = self.entry
-        size = entry.size
-        ctxs = self.ctxs
-        gens = self.gens
+        progs = self.progs
         completed = self.completed
-        state = [self._READY] * size
-        pending: List[Optional[Any]] = [None] * size
         failures = 0
-        # The engine's scheduling rule, shared via ReadyHeap: smallest
-        # (virtual clock, world rank), stale entries dropped, moved
-        # clocks requeued.  Entries are (clock, world rank, q).
+        # Entries are (clock, world rank, q): the world rank breaks
+        # clock ties as in the engine, q indexes the program record.
         heap = ReadyHeap(
-            (ctxs[q]._clock, ctxs[q].rank, q) for q in range(size)
+            (pr.ctx._clock, pr.ctx.rank, q) for q, pr in enumerate(progs)
         )
-        heappush = heap.push
+        push = heap.push
         pop_ready = heap.pop_ready
         READY, BLOCKED = self._READY, self._BLOCKED
-        is_ready = lambda q: state[q] == READY  # noqa: E731 - hot closure
-        clock_of = lambda q: ctxs[q]._clock  # noqa: E731 - hot closure
         while True:
-            nxt = pop_ready(is_ready, clock_of)
+            nxt = pop_ready(progs, READY)
             if nxt is None:
                 break
             q = nxt[2]
-            ctx = ctxs[q]
+            pr = progs[q]
+            ctx = pr.ctx
             # Finish the wait the program blocked on (the bookkeeping
             # Request.wait applies: waited mark, advance to completion).
-            req = pending[q]
+            req = pr.pending
             if req is not None:
-                pending[q] = None
+                pr.pending = None
                 req._waited = True
                 ct = req.completion_time
                 if ct > ctx._clock:
@@ -591,16 +603,16 @@ class _Replay:
                 val = req.data
             else:
                 val = None
-            gen_send = gens[q].send
+            gen_send = pr.gen.send
             while True:
                 try:
                     req = gen_send(val)
                 except StopIteration as stop:
-                    state[q] = self._DONE
+                    pr.state = self._DONE
                     entry.results[q] = stop.value
                     break
                 except Exception as exc:  # noqa: BLE001 - re-raised per rank
-                    state[q] = self._FAILED
+                    pr.state = self._FAILED
                     entry.errors[q] = exc
                     failures += 1
                     break
@@ -612,8 +624,8 @@ class _Replay:
                         ctx._clock = ct
                     val = req.data
                     continue
-                state[q] = BLOCKED
-                pending[q] = req
+                pr.state = BLOCKED
+                pr.pending = req
                 req.waiter = q
                 break
             # A segment may have completed requests other ranks' parked
@@ -623,14 +635,15 @@ class _Replay:
             if completed:
                 for dreq in completed:
                     j = dreq.waiter
-                    if j is not None and state[j] == BLOCKED:
-                        dreq.waiter = None
-                        state[j] = READY
-                        cj = ctxs[j]
-                        heappush((cj._clock, cj.rank, j))
+                    if j is not None:
+                        pj = progs[j]
+                        if pj.state == BLOCKED:
+                            dreq.waiter = None
+                            pj.state = READY
+                            cj = pj.ctx
+                            push((cj._clock, cj.rank, j))
                 completed.clear()
-        stuck = [ctxs[q].rank for q in range(size)
-                 if state[q] == self._BLOCKED]
+        stuck = [pr.ctx.rank for pr in progs if pr.state == BLOCKED]
         if not failures and not stuck and (self._sends or self._recvs):
             leftovers = len(self._sends) + len(self._recvs)
             raise EngineStateError(
@@ -649,8 +662,8 @@ class _Replay:
             # peers legitimately unmatched; surface the original error
             # on each blocked rank instead of a bogus stall.
             first = next(e for e in entry.errors if e is not None)
-            for q in range(size):
-                if state[q] == self._BLOCKED and entry.errors[q] is None:
+            for q, pr in enumerate(progs):
+                if pr.state == BLOCKED and entry.errors[q] is None:
                     entry.errors[q] = first
 
 

@@ -620,11 +620,58 @@ class _EngineBase:
     def _setup(self, main: Callable, args: tuple, kwargs: dict) -> None:
         raise NotImplementedError
 
-    def _loop(self) -> None:
+    def _runner(self) -> Callable[[Any], None]:
+        """How one scheduled rank runs: called once, before the loop."""
         raise NotImplementedError
 
     def _abort(self) -> None:
         raise NotImplementedError
+
+    def _loop(self) -> None:
+        """The event loop of both engines: one iteration per scheduling step.
+
+        The ready heap yields the READY rank with the smallest
+        ``(clock, rank)`` — see :class:`~repro.simmpi.sched.ReadyHeap` —
+        while DONE / FAILED detection rides on counters updated at the
+        transitions themselves, so nothing here is O(ranks).  The engine
+        supplies only how the popped rank runs (:meth:`_runner`).  Every
+        per-iteration invariant is hoisted into a local; mutable state
+        that rank threads append to (the failed list) keeps its
+        identity, so reading it through a local stays correct.
+        """
+        ranks = self._ranks
+        failed = self._failed
+        n_ranks = self.n_ranks
+        guarded = (
+            self.max_virtual_time is not None or self.progress_steps is not None
+        )
+        guard_step = self._guard_step
+        pop_ready = self._ready.pop_ready
+        run = self._runner()
+        steps = 0
+        try:
+            while True:
+                steps += 1
+                if failed:
+                    t = failed[0]
+                    raise RankFailedError(t.rank, t.exc) from t.exc
+                entry = pop_ready(ranks, READY)
+                if entry is None:
+                    if self._done_count == n_ranks:
+                        return
+                    self._raise_stalled(
+                        "deadlock",
+                        "simulated MPI deadlock — every rank is blocked:",
+                    )
+                nxt = ranks[entry[1]]
+                if guarded:
+                    guard_step(nxt)
+                nxt.state = RUNNING
+                run(nxt)
+        finally:
+            # Persist the counter even when the loop exits via an abort
+            # path, so stall reports and partial results stay accurate.
+            self.sched_steps += steps
 
     def _guard_step(self, nxt) -> None:
         """Apply the opt-in step guards to the rank about to run.
@@ -799,66 +846,25 @@ class Engine(_EngineBase):
             self._ready.push((t.ctx.now, t.rank))
             t.start()
 
-    def _loop(self) -> None:
-        # Hot loop: one iteration per scheduling step.  The ready heap
-        # yields the READY rank with the smallest (clock, rank) — see
-        # ReadyHeap — while DONE / FAILED detection rides on counters
-        # updated at the transitions themselves, so nothing here is
-        # O(ranks).  Every per-iteration invariant is hoisted into a
-        # local; mutable state that other threads append to (the failed
-        # list) keeps its identity, so reading it through a local stays
-        # correct.
-        ranks = self._ranks
-        failed = self._failed
-        n_ranks = self.n_ranks
-        wall_timeout = self.wall_timeout
-        guarded = (
-            self.max_virtual_time is not None or self.progress_steps is not None
-        )
-        guard_step = self._guard_step
-        back_wait = self._back.wait
-        back_clear = self._back.clear
-        pop_ready = self._ready.pop_ready_progs
-        steps = 0
-        handoffs = 0
-        try:
-            while True:
-                steps += 1
-                if failed:
-                    t = failed[0]
-                    raise RankFailedError(t.rank, t.exc) from t.exc
-                entry = pop_ready(ranks, READY)
-                if entry is None:
-                    if self._done_count == n_ranks:
-                        return
-                    self._raise_stalled(
-                        "deadlock",
-                        "simulated MPI deadlock — every rank is blocked:",
-                    )
-                nxt = ranks[entry[1]]
-                if guarded:
-                    guard_step(nxt)
-                nxt.state = RUNNING
-                handoffs += 1
-                nxt.go.set()
-                completed = back_wait(timeout=wall_timeout)
-                if not completed:
-                    # Wall-clock watchdog: the rank thread is stuck in real
-                    # time (runaway workload code).  It cannot be unwound
-                    # cooperatively, so don't wait for it during the abort.
-                    self._join_timeout = 0.2
-                    self._raise_stalled(
-                        "watchdog-timeout",
-                        f"wall-clock watchdog expired: rank {nxt.rank} held the "
-                        f"baton for more than {wall_timeout:.6g} real "
-                        "seconds:",
-                    )
-                back_clear()
-        finally:
-            # Persist the counters even when the loop exits via an abort
-            # path, so stall reports and partial results stay accurate.
-            self.sched_steps += steps
-            self.baton_handoffs += handoffs
+    def _runner(self) -> Callable[[_RankThread], None]:
+        return self._handoff
+
+    def _handoff(self, thread: _RankThread) -> None:
+        """Hand ``thread`` the baton and wait until it gives it back."""
+        self.baton_handoffs += 1
+        thread.go.set()
+        if not self._back.wait(timeout=self.wall_timeout):
+            # Wall-clock watchdog: the rank thread is stuck in real time
+            # (runaway workload code).  It cannot be unwound
+            # cooperatively, so don't wait for it during the abort.
+            self._join_timeout = 0.2
+            self._raise_stalled(
+                "watchdog-timeout",
+                f"wall-clock watchdog expired: rank {thread.rank} held the "
+                f"baton for more than {self.wall_timeout:.6g} real "
+                "seconds:",
+            )
+        self._back.clear()
 
     def _abort(self) -> None:
         """Unwind every live rank thread after a fatal error."""
@@ -967,54 +973,26 @@ class ThreadFreeEngine(_EngineBase):
                 self._macro = MacrostepController(self)
                 self._macro.attach()
 
-    def _loop(self) -> None:
-        ranks = self._ranks
-        failed = self._failed
-        n_ranks = self.n_ranks
-        wall_timeout = self.wall_timeout
-        guarded = (
-            self.max_virtual_time is not None or self.progress_steps is not None
-        )
-        guard_step = self._guard_step
-        pop_ready = self._ready.pop_ready_progs
-        segment = self._segment
-        perf = time.perf_counter
-        steps = 0
-        try:
-            while True:
-                steps += 1
-                if failed:
-                    p = failed[0]
-                    raise RankFailedError(p.rank, p.exc) from p.exc
-                entry = pop_ready(ranks, READY)
-                if entry is None:
-                    if self._done_count == n_ranks:
-                        return
-                    self._raise_stalled(
-                        "deadlock",
-                        "simulated MPI deadlock — every rank is blocked:",
-                    )
-                nxt = ranks[entry[1]]
-                if guarded:
-                    guard_step(nxt)
-                nxt.state = RUNNING
-                if wall_timeout is None:
-                    segment(nxt)
-                else:
-                    # The loop cannot interrupt a segment from the same
-                    # thread; the overrun is detected at the segment
-                    # boundary (see the wall_timeout docs).
-                    t0 = perf()
-                    segment(nxt)
-                    if perf() - t0 > wall_timeout:
-                        self._raise_stalled(
-                            "watchdog-timeout",
-                            f"wall-clock watchdog expired: rank {nxt.rank} ran "
-                            f"for more than {wall_timeout:.6g} real seconds "
-                            "between scheduling points:",
-                        )
-        finally:
-            self.sched_steps += steps
+    def _runner(self) -> Callable[[_RankProgram], None]:
+        # Without a watchdog the hot loop calls _segment directly.
+        return self._segment if self.wall_timeout is None else self._timed_segment
+
+    def _timed_segment(self, p: _RankProgram) -> None:
+        """:meth:`_segment` under the wall-clock watchdog.
+
+        The loop cannot interrupt a segment from the same thread; the
+        overrun is detected at the segment boundary (see the
+        ``wall_timeout`` docs).
+        """
+        t0 = time.perf_counter()
+        self._segment(p)
+        if time.perf_counter() - t0 > self.wall_timeout:
+            self._raise_stalled(
+                "watchdog-timeout",
+                f"wall-clock watchdog expired: rank {p.rank} ran "
+                f"for more than {self.wall_timeout:.6g} real seconds "
+                "between scheduling points:",
+            )
 
     def _segment(self, p: _RankProgram) -> None:
         """Resume one rank's generator until its next blocking yield.

@@ -1,18 +1,28 @@
 """Shared discrete-event scheduling core and the generator wait protocol.
 
-Every scheduler in the simulator — ``Engine._loop`` driving rank
-threads, ``ThreadFreeEngine._loop`` driving rank generators, and the
-collective fast path's ``_Replay`` — picks the runnable entity with the
-smallest ``(virtual clock, rank)`` key, with two twists:
+Every scheduler in the simulator picks the runnable program with the
+smallest ``(virtual clock, rank)`` key.  There are two of them, and both
+pop through :meth:`ReadyHeap.pop_ready`:
 
-* entries may go **stale** (the entity re-blocked or finished while an
+* ``_EngineBase._loop``, the one event loop of both engines.  It owns
+  the step counter, the failed-rank check, the pop, deadlock detection
+  and the step guards; each engine supplies only how one popped rank
+  runs (a baton handoff to the rank's thread, or an inline generator
+  segment);
+* the collective fast path's ``_Replay``, which drives the per-rank
+  programs of one collective invocation under the same rule.
+
+The pop rule has two twists:
+
+* entries may go **stale** (the program re-blocked or finished while an
   old entry was still queued) — resolved lazily at pop time;
 * a queued clock is only a **lower bound** (clocks are monotonic) — an
-  entry whose entity has since advanced is requeued at the real clock.
+  entry whose program has since advanced is requeued at the real clock.
 
-:class:`ReadyHeap` implements exactly that rule once, so the analytic
-collective fast path is a special case of the engine scheduler rather
-than a parallel implementation.
+Both schedulers hand ``pop_ready`` their per-program records (``state``
+and ``ctx._clock``), so the rule is written once and the collective
+replay is a special case of the engine scheduler rather than a
+parallel implementation.
 
 The second half of this module is the *generator wait protocol*: rank
 bodies and collective programs are written as generators that ``yield``
@@ -58,7 +68,8 @@ class ReadyHeap:
     """Min-``(clock, ..., key)`` heap with lazy stale-entry resolution.
 
     Entries are tuples whose first element is the virtual clock and
-    whose last element is the scheduling key (a rank index).  The pop
+    whose last element is the scheduling key: the index of the entry's
+    program record in the list handed to :meth:`pop_ready`.  The pop
     rule is shared by every scheduler in the simulator; see the module
     docstring.
 
@@ -81,87 +92,47 @@ class ReadyHeap:
         """Queue ``entry`` (``(clock, ..., key)``) for scheduling."""
         heapq.heappush(self._heap, entry)
 
-    def pop_ready(
-        self,
-        is_ready: Callable[[Any], bool],
-        clock_of: Callable[[Any], float],
-    ) -> Optional[Tuple]:
-        """Pop the earliest entry whose key is still runnable.
+    def pop_ready(self, progs, ready) -> Optional[Tuple]:
+        """Pop the earliest entry whose program is still runnable.
 
-        Entries whose key is no longer READY are dropped; entries whose
-        clock moved since queueing are requeued at the real clock (the
-        queued clock was a lower bound).  Returns None when no runnable
-        entry remains.
+        ``progs[key]`` is the scheduling record of an entry's key: its
+        ``state`` is compared with ``ready`` and its ``ctx._clock`` is
+        the real clock.  Entries whose program is no longer ``ready``
+        are dropped; entries whose clock moved since queueing are
+        requeued at the real clock (the queued clock was a lower bound).
+        Returns None when no runnable entry remains.
         """
         heap = self._heap
         batch = self._batch
         heappop, heappush = heapq.heappop, heapq.heappush
         while batch:
             # A batched entry may have gone stale since the drain: a
-            # sibling batch entry can run its rank first (duplicate
-            # queue entries) or advance another rank's clock.
+            # sibling batch entry can run its program first (duplicate
+            # queue entries) or advance another program's clock.
             entry = batch.popleft()
             if heap and heap[0] < entry:
                 # A wake pushed an earlier (clock, rank) key after the
                 # drain; fall back to heap order for correctness.
                 batch.appendleft(entry)
                 break
-            key = entry[-1]
-            if not is_ready(key):
+            pr = progs[entry[-1]]
+            if pr.state != ready:
                 continue
-            clock = clock_of(key)
+            clock = pr.ctx._clock
             if clock != entry[0]:
                 heappush(heap, (clock,) + entry[1:])
                 continue
             return entry
         while heap:
             entry = heappop(heap)
-            key = entry[-1]
-            if not is_ready(key):
+            pr = progs[entry[-1]]
+            if pr.state != ready:
                 continue  # stale entry from an earlier READY period
-            clock = clock_of(key)
+            clock = pr.ctx._clock
             if clock != entry[0]:
                 heappush(heap, (clock,) + entry[1:])
                 continue
             # Drain every other entry at this exact clock in one pass.
-            c0 = entry[0]
-            while heap and heap[0][0] == c0:
-                batch.append(heappop(heap))
-            return entry
-        return None
-
-    def pop_ready_progs(self, progs, ready) -> Optional[Tuple]:
-        """:meth:`pop_ready` specialised for the engines' rank programs.
-
-        Identical pop rule with ``progs[key].state`` / ``progs[key].ctx._clock``
-        read inline instead of through caller closures — at O(events) pops
-        per run the two indirect calls per entry are measurable.
-        """
-        heap = self._heap
-        batch = self._batch
-        heappop, heappush = heapq.heappop, heapq.heappush
-        while batch:
-            entry = batch.popleft()
-            if heap and heap[0] < entry:
-                batch.appendleft(entry)
-                break
-            pr = progs[entry[-1]]
-            if pr.state != ready:
-                continue
-            clock = pr.ctx._clock
-            if clock != entry[0]:
-                heappush(heap, (clock,) + entry[1:])
-                continue
-            return entry
-        while heap:
-            entry = heappop(heap)
-            pr = progs[entry[-1]]
-            if pr.state != ready:
-                continue
-            clock = pr.ctx._clock
-            if clock != entry[0]:
-                heappush(heap, (clock,) + entry[1:])
-                continue
             c0 = entry[0]
             while heap and heap[0][0] == c0:
                 batch.append(heappop(heap))

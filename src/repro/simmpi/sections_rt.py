@@ -99,6 +99,9 @@ class SectionRuntime:
         # instead of two (the per-key lists are created once and mutated
         # in place, so the pair stays live).
         self._hot: Dict[Tuple[tuple, int], tuple] = {}
+        # rank -> [(comm_id, stack), ...] in creation order: the leak
+        # check at a rank's finalize reads only that rank's stacks.
+        self._rank_stacks: Dict[int, List[Tuple[tuple, List[_Frame]]]] = {}
         # comm_id -> world-rank group (captured on first use for validation)
         self._groups: Dict[tuple, tuple] = {}
         # Ranks whose event recording is suppressed (injected hangs on
@@ -132,11 +135,11 @@ class SectionRuntime:
         self.exit(ctx, comm, MAIN_LABEL)
         self.engine.tools.dispatch("on_rank_end", ctx.rank, ctx.now)
         # Any other communicator with open frames is a leak.
-        for (cid, rank), st in self._stacks.items():
-            if rank == ctx.rank and st:
+        for cid, st in self._rank_stacks[ctx.rank]:
+            if st:
                 raise SectionNestingError(
-                    f"rank {rank} leaked open sections {[f.label for f in st]} "
-                    f"on communicator {cid}"
+                    f"rank {ctx.rank} leaked open sections "
+                    f"{[f.label for f in st]} on communicator {cid}"
                 )
 
     def mute_rank(self, rank: int) -> None:
@@ -170,6 +173,7 @@ class SectionRuntime:
             stack = self._stacks[key] = []
             log = self._logs[key] = []
             hot = self._hot[key] = (stack, log)
+            self._rank_stacks.setdefault(rank, []).append((cid, stack))
             if cid not in self._groups:
                 self._groups[cid] = comm.group
         stack, log = hot

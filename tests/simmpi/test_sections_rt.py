@@ -93,6 +93,27 @@ def test_leaked_open_section_raises_at_finalize():
     assert isinstance(ei.value.original, SectionNestingError)
 
 
+@pytest.mark.parametrize("engine", ["threadfree", "threads"])
+def test_leaked_section_on_dup_communicator_names_it(engine):
+    # MPI_MAIN closes cleanly here, so only the per-rank leak scan over
+    # the other communicators' stacks can catch the open section.
+    cids = set()
+
+    def main(ctx):
+        dup = ctx.comm.dup()
+        cids.add(dup.cid)
+        section_enter(ctx, "left-open", comm=dup)
+        return
+        yield  # a generator main, so it runs under either engine
+
+    with pytest.raises(RankFailedError) as ei:
+        mpi(4, main, engine=engine)
+    err = ei.value.original
+    assert isinstance(err, SectionNestingError)
+    (cid,) = cids
+    assert f"leaked open sections ['left-open'] on communicator {cid}" in str(err)
+
+
 def test_non_collective_sections_detected_at_finalize():
     def main(ctx):
         if ctx.rank == 0:
