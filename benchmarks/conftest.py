@@ -5,26 +5,32 @@ every per-figure benchmark; each benchmark then (a) regenerates its
 table/figure rows, (b) asserts the paper's shape checks, (c) writes the
 rendered artifact to ``benchmarks/results/<exp>.txt``, and (d) times the
 analysis step with pytest-benchmark.
+
+``REPRO_BENCH_FAST=1`` shrinks shapes and relaxes bars for a CI-scale
+smoke run; its artifacts go to the untracked ``benchmarks/results-fast/``
+so a smoke run never overwrites the recorded full-mode results.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 
 import pytest
 
 from repro.harness.runner import run_convolution_sweep, run_lulesh_grid
 from repro.harness.sweeps import (
+    PAPER_LULESH_SIDES,
     default_convolution_sweep,
     paper_lulesh_sweep,
 )
-from repro.workloads.lulesh import PAPER_TOTAL_ELEMENTS
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+#: Whether the suites run at CI smoke scale (``REPRO_BENCH_FAST``).
+FAST_MODE = os.environ.get("REPRO_BENCH_FAST", "").strip() not in ("", "0")
 
-#: Figure 7 per-rank sides holding the paper's element count constant.
-PAPER_SIDES = {1: 48, 8: 24, 27: 16, 64: 12}
+RESULTS_DIR = pathlib.Path(__file__).parent / (
+    "results-fast" if FAST_MODE else "results")
 
 
 def save_artifact(name: str, text: str) -> None:
@@ -81,7 +87,7 @@ def knl_grid():
     """The Figures 9/10 Lulesh grid on the KNL model at paper size."""
     sweep = paper_lulesh_sweep("knl", steps=10)
     object.__setattr__(sweep, "reps", 1)
-    analysis, drifts = run_lulesh_grid(sweep, sides=PAPER_SIDES,
+    analysis, drifts = run_lulesh_grid(sweep, sides=PAPER_LULESH_SIDES,
                                        jobs=None, cache=None)
     assert max(drifts.values()) < 1e-10, "energy conservation violated"
     return analysis
@@ -92,7 +98,7 @@ def bdw_grid():
     """The Figure 8 Lulesh grid on the dual-Broadwell model."""
     sweep = paper_lulesh_sweep("broadwell", steps=10)
     object.__setattr__(sweep, "reps", 1)
-    analysis, drifts = run_lulesh_grid(sweep, sides=PAPER_SIDES,
+    analysis, drifts = run_lulesh_grid(sweep, sides=PAPER_LULESH_SIDES,
                                        jobs=None, cache=None)
     assert max(drifts.values()) < 1e-10, "energy conservation violated"
     return analysis

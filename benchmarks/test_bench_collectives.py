@@ -23,7 +23,6 @@ the 3x/p=128 criterion and records it in ``coll_fastpath_p128.txt``).
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -32,9 +31,8 @@ from repro.machine.catalog import nehalem_cluster
 from repro.simmpi import SUM
 from repro.simmpi.engine import run_mpi
 
-from benchmarks.conftest import merge_json_artifact, save_artifact
+from benchmarks.conftest import FAST_MODE, merge_json_artifact, save_artifact
 
-FAST_MODE = os.environ.get("REPRO_BENCH_FAST", "").strip() not in ("", "0")
 
 #: (collective label, per-rank body) — one gated invocation per call.
 _COLLECTIVES = {

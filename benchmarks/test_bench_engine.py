@@ -14,7 +14,6 @@ and relaxes the bars, but the p=1024 smoke always runs at p=1024 —
 that number *is* the claim being smoked.
 """
 
-import os
 import time
 
 import numpy as np
@@ -24,9 +23,8 @@ from repro.simmpi import SUM
 from repro.simmpi.engine import run_mpi
 from repro.simmpi.sections_rt import section
 
-from benchmarks.conftest import merge_json_artifact, save_artifact
+from benchmarks.conftest import FAST_MODE, merge_json_artifact, save_artifact
 
-FAST_MODE = os.environ.get("REPRO_BENCH_FAST", "").strip() not in ("", "0")
 
 
 def test_engine_p2p_message_throughput(benchmark):

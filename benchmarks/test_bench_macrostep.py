@@ -58,9 +58,8 @@ from repro.simmpi import SUM
 from repro.simmpi.engine import run_mpi
 from repro.workloads import registry
 
-from benchmarks.conftest import merge_json_artifact, save_artifact
+from benchmarks.conftest import FAST_MODE, merge_json_artifact, save_artifact
 
-FAST_MODE = os.environ.get("REPRO_BENCH_FAST", "").strip() not in ("", "0")
 PERF_SMOKE = os.environ.get("REPRO_PERF_SMOKE", "").strip() not in ("", "0")
 
 

@@ -79,6 +79,7 @@ from repro import obs
 from repro.harness import experiments as E
 from repro.harness.runner import run_convolution_sweep, run_lulesh_grid
 from repro.harness.sweeps import (
+    PAPER_LULESH_SIDES,
     default_convolution_sweep,
     fig6_process_counts,
     paper_lulesh_sweep,
@@ -88,9 +89,6 @@ _CONV_EXPERIMENTS = ("fig5a", "fig5b", "fig5c", "fig5d", "fig6")
 _KNL_EXPERIMENTS = ("fig9", "fig10")
 _BDW_EXPERIMENTS = ("fig8",)
 _STANDALONE = ("table7",)
-
-#: Figure 7 sides holding the paper's element count fixed.
-_PAPER_SIDES = {1: 48, 8: 24, 27: 16, 64: 12}
 
 # Exit codes: usage errors and run failures are distinguishable in CI.
 EXIT_OK = 0
@@ -279,37 +277,44 @@ def _cache_main(argv: List[str]) -> int:
     return 0
 
 
+def _scenario_exec_parent() -> argparse.ArgumentParser:
+    """The execution flags of every command that runs a scenario spec."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--jobs", type=int, default=None,
+                        help="worker processes for sweep points "
+                             "(0 = all cores; default: $REPRO_JOBS or serial)")
+    parent.add_argument("--cache", action="store_true",
+                        help="reuse the persistent run cache "
+                             "($REPRO_CACHE_DIR or ~/.cache/repro/runs)")
+    parent.add_argument("--on-error", choices=("raise", "skip"),
+                        default="raise", dest="on_error",
+                        help="sweep-point failure policy")
+    parent.add_argument("--retries", type=int, default=0,
+                        help="re-attempts per failing sweep point")
+    parent.add_argument("--quiet", action="store_true",
+                        help="suppress per-point progress lines")
+    parent.add_argument("--macrostep", choices=("on", "off"), default=None,
+                        help="override the spec's macro-step capture/replay "
+                             "policy (execution policy: replay is "
+                             "bit-identical, so cached points are shared "
+                             "across modes)")
+    return parent
+
+
 def _scenario_run_parser(prog: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=f"python -m repro.cli {prog}",
         description="Execute a declarative scenario spec (any registered "
                     "workload) across its process-count sweep.",
+        parents=[_scenario_exec_parent()],
     )
     parser.add_argument("--scenario", type=pathlib.Path, required=True,
                         metavar="SPEC.json",
                         help="scenario spec file (see docs/workloads.md)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for sweep points "
-                             "(0 = all cores; default: $REPRO_JOBS or serial)")
-    parser.add_argument("--cache", action="store_true",
-                        help="reuse the persistent run cache "
-                             "($REPRO_CACHE_DIR or ~/.cache/repro/runs)")
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         metavar="RESULT.json",
                         help="write the canonical scenario result payload "
                              "(byte-identical to the served payload)")
-    parser.add_argument("--on-error", choices=("raise", "skip"),
-                        default="raise", dest="on_error",
-                        help="sweep-point failure policy")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="re-attempts per failing sweep point")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-point progress lines")
-    parser.add_argument("--macrostep", choices=("on", "off"), default=None,
-                        help="override the spec's macro-step capture/replay "
-                             "policy (execution policy: replay is "
-                             "bit-identical, so cached points are shared "
-                             "across modes)")
     return parser
 
 
@@ -321,30 +326,36 @@ def _sweep_parser() -> argparse.ArgumentParser:
     return _scenario_run_parser("sweep")
 
 
-def _run_main(argv: List[str], prog: str = "run") -> int:
-    """The ``run``/``sweep`` subcommands: execute a scenario spec."""
-    import json as _json
+def _execute_scenario(args):
+    """Run the ``--scenario`` spec under the execution flags.
 
+    The shared body of ``run``, ``sweep`` and ``report --scenario``:
+    validate ``--jobs`` / ``--retries``, load the spec, apply
+    ``--macrostep``, run the sweep (through the run cache with
+    ``--cache``) and build its payload, printing any failure table.
+    Returns ``(status, result)``: ``result`` is ``(spec, profile,
+    metrics, payload)``, or None when nothing ran; ``status`` is
+    EXIT_RUN_FAILURE for a sweep with failed points.
+    """
     from repro.errors import ReproError
     from repro.harness.parallel import resolve_jobs
     from repro.harness.scenario import run_scenario, scenario_payload
     from repro.scenarios import ScenarioSpec, ScenarioSpecError
 
-    args = _scenario_run_parser(prog).parse_args(argv)
     try:
         jobs = resolve_jobs(args.jobs)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, None
     if args.retries < 0:
         print(f"error: --retries must be >= 0, got {args.retries}",
               file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, None
     try:
         spec = ScenarioSpec.load(args.scenario)
     except ScenarioSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_USAGE, None
     if args.macrostep is not None:
         object.__setattr__(spec, "macrostep", args.macrostep == "on")
     run_cache = None
@@ -360,9 +371,22 @@ def _run_main(argv: List[str], prog: str = "run") -> int:
         )
     except ReproError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_RUN_FAILURE
+        return EXIT_RUN_FAILURE, None
     payload = scenario_payload(spec, profile, metrics, intervals)
     ok = _report_sweep_failures(profile.failures, spec.workload)
+    return (EXIT_OK if ok else EXIT_RUN_FAILURE,
+            (spec, profile, metrics, payload))
+
+
+def _run_main(argv: List[str], prog: str = "run") -> int:
+    """The ``run``/``sweep`` subcommands: execute a scenario spec."""
+    import json as _json
+
+    args = _scenario_run_parser(prog).parse_args(argv)
+    status, result = _execute_scenario(args)
+    if result is None:
+        return status
+    spec, profile, metrics, payload = result
     summary = payload["summary"]
     print(f"scenario {spec.workload} [{spec.content_key[:12]}]: "
           f"scales {summary['scales']}")
@@ -379,7 +403,7 @@ def _run_main(argv: List[str], prog: str = "run") -> int:
         args.out.write_text(_json.dumps(payload, sort_keys=True, indent=2)
                             + "\n")
         print(f"result written: {args.out}")
-    return EXIT_OK if ok else EXIT_RUN_FAILURE
+    return status
 
 
 def _report_parser() -> argparse.ArgumentParser:
@@ -387,7 +411,9 @@ def _report_parser() -> argparse.ArgumentParser:
         prog="python -m repro.cli report",
         description="Render analysis views of a scenario: the scaling "
                     "report, and with --timeline the windowed efficiency "
-                    "timeline (sparklines + inflexion localization).",
+                    "timeline (sparklines + inflexion localization).  The "
+                    "execution flags apply with --scenario only.",
+        parents=[_scenario_exec_parent()],
     )
     parser.add_argument("--scenario", type=pathlib.Path, default=None,
                         metavar="SPEC.json",
@@ -417,25 +443,9 @@ def _report_parser() -> argparse.ArgumentParser:
                         metavar="LABEL",
                         help="section(s) to highlight in the timeline "
                              "(repeatable; default: largest contributors)")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for sweep points "
-                             "(0 = all cores; default: $REPRO_JOBS or serial)")
-    parser.add_argument("--cache", action="store_true",
-                        help="reuse the persistent run cache "
-                             "($REPRO_CACHE_DIR or ~/.cache/repro/runs)")
-    parser.add_argument("--on-error", choices=("raise", "skip"),
-                        default="raise", dest="on_error",
-                        help="sweep-point failure policy")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="re-attempts per failing sweep point")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-point progress lines")
     parser.add_argument("--out", type=pathlib.Path, default=None,
                         metavar="REPORT.txt",
                         help="also write the rendered report to a file")
-    parser.add_argument("--macrostep", choices=("on", "off"), default=None,
-                        help="override the spec's macro-step capture/replay "
-                             "policy when executing (--scenario only)")
     return parser
 
 
@@ -474,9 +484,6 @@ def _report_main(argv: List[str]) -> int:
     from repro.analysis.render import render_timeline
     from repro.core.export import scaling_from_json
     from repro.errors import ReproError
-    from repro.harness.parallel import resolve_jobs
-    from repro.harness.scenario import run_scenario, scenario_payload
-    from repro.scenarios import ScenarioSpec, ScenarioSpecError
     from repro.tools.reportgen import scaling_report
 
     args = _report_parser().parse_args(argv)
@@ -508,39 +515,10 @@ def _report_main(argv: List[str]) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
     else:
-        try:
-            jobs = resolve_jobs(args.jobs)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if args.retries < 0:
-            print(f"error: --retries must be >= 0, got {args.retries}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            spec = ScenarioSpec.load(args.scenario)
-        except ScenarioSpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if args.macrostep is not None:
-            object.__setattr__(spec, "macrostep", args.macrostep == "on")
-        run_cache = None
-        if args.cache:
-            from repro.harness.cache import RunCache
-
-            run_cache = RunCache()
-        progress = None if args.quiet else print
-        try:
-            profile, metrics, intervals = run_scenario(
-                spec, progress=progress, jobs=jobs, cache=run_cache,
-                on_error=args.on_error, retries=args.retries,
-            )
-        except ReproError as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return EXIT_RUN_FAILURE
-        payload = scenario_payload(spec, profile, metrics, intervals)
-        if not _report_sweep_failures(profile.failures, spec.workload):
-            return EXIT_RUN_FAILURE
+        status, result = _execute_scenario(args)
+        if status != EXIT_OK:
+            return status
+        payload = result[3]
 
     lines: List[str] = [
         f"scenario {payload['scenario']['workload']} "
@@ -991,7 +969,7 @@ def main(argv: List[str] | None = None) -> int:
                 object.__setattr__(sweep, "base_seed", args.seed)
             _configure(sweep)
             analysis, drifts = run_lulesh_grid(sweep, progress=progress,
-                                               sides=_PAPER_SIDES,
+                                               sides=PAPER_LULESH_SIDES,
                                                jobs=jobs, cache=run_cache,
                                                on_error=args.on_error,
                                                retries=args.retries)

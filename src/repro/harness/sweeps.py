@@ -18,7 +18,7 @@ from repro.faults.plan import FaultPlan
 from repro.machine.catalog import broadwell_duo, knl_node, nehalem_cluster
 from repro.machine.spec import MachineSpec
 from repro.workloads.convolution import ConvolutionConfig
-from repro.workloads.lulesh import LuleshConfig
+from repro.workloads.lulesh import PAPER_TOTAL_ELEMENTS, LuleshConfig
 
 
 @dataclass(frozen=True)
@@ -220,3 +220,9 @@ def lulesh_sides_for(process_counts: Tuple[int, ...], total_elements: int) -> Di
             )
         out[p] = s
     return out
+
+
+#: Figure 7's per-rank sides (s = 48, 24, 16, 12): the paper's element
+#: count held fixed at p = 1, 8, 27, 64.
+PAPER_LULESH_SIDES: Dict[int, int] = lulesh_sides_for(
+    (1, 8, 27, 64), PAPER_TOTAL_ELEMENTS)

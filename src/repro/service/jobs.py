@@ -34,11 +34,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.export import profile_to_dict, scaling_to_json
-from repro.errors import EngineStateError, ReproError
+from repro.errors import EngineStateError, MachineError, ReproError
 from repro.faults.plan import FaultPlan, FaultPlanError
 from repro.harness.scenario import JOB_SCHEMA_VERSION
 from repro.harness.sweeps import ConvolutionSweep, LuleshGridSweep
-from repro.machine.catalog import broadwell_duo, knl_node, laptop, nehalem_cluster
+from repro.machine.catalog import machine_from_dict
 from repro.machine.spec import MachineSpec
 from repro.scenarios import ScenarioSpec, ScenarioSpecError
 from repro.simmpi.engine import engine_mode
@@ -154,32 +154,16 @@ class JobSpec:
 # ---------------------------------------------------------------------------
 
 def _machine_from(work: Dict[str, Any]) -> MachineSpec:
-    """Resolve the spec's machine block to a catalog model."""
+    """Resolve the spec's machine block through the catalog, validated
+    like a scenario's; a nehalem block keeps the service's 24-node
+    default."""
     m = work.get("machine")
-    if not isinstance(m, dict) or "name" not in m:
-        raise JobSpecError("job spec needs machine: {\"name\": ...}")
-    name = m["name"]
+    if isinstance(m, dict) and m.get("name") == "nehalem" and "nodes" not in m:
+        m = {**m, "nodes": 24}
     try:
-        if name == "nehalem":
-            kwargs = {"nodes": _as_int(m.get("nodes", 24), "machine.nodes")}
-            if "jitter" in m:
-                kwargs["jitter"] = _as_number(m["jitter"], "machine.jitter")
-            return nehalem_cluster(**kwargs)
-        if name == "knl":
-            if "jitter" in m:
-                return knl_node(jitter=_as_number(m["jitter"], "machine.jitter"))
-            return knl_node()
-        if name == "broadwell":
-            if "jitter" in m:
-                return broadwell_duo(jitter=_as_number(m["jitter"], "machine.jitter"))
-            return broadwell_duo()
-        if name == "laptop":
-            return laptop(cores=_as_int(m.get("cores", 4), "machine.cores"))
-    except ReproError as exc:
+        return machine_from_dict(m)
+    except MachineError as exc:
         raise JobSpecError(f"invalid machine block: {exc}") from exc
-    raise JobSpecError(
-        f"unknown machine {name!r} (nehalem | knl | broadwell | laptop)"
-    )
 
 
 def _faults_from(work: Dict[str, Any]) -> Optional[FaultPlan]:

@@ -15,10 +15,15 @@ structure inference stacks exploit (CUDA-graph style).
 
 How
 ---
-Each rank gets an observation phase and a replay phase:
+Each tracked rank gets **one** wrapper set, bound on its *own* world
+communicator instance when the layer attaches and kept for the rank's
+whole life: ``Isend``, ``isend``, ``Irecv``, ``irecv``,
+``_collective_entry`` and ``g_Sendrecv``.  Phase changes only flip the
+rank's state; nothing is rebound until the rank goes dead or the run
+releases it.
 
-* **capture** — lightweight wrappers bound on the rank's *own*
-  world communicator instance record a token per MPI call:
+* **capture** — while observing, each wrapper records a token per MPI
+  call and delegates to the interpreted method:
   ``("S", dest, tag, nbytes)`` / ``("s", ...)`` for buffer/object
   sends, ``("R", source, tag)`` / ``("r", ...)`` for receives, and
   ``("C", name)`` for collectives (recorded at the
@@ -29,29 +34,29 @@ Each rank gets an observation phase and a replay phase:
   (``tokens[n-L:n] == tokens[n-2L:n-L]``), the last ``L`` tokens
   become the rank's *round template* and each token's world peer is
   precomputed.
-* **replay** — lean methods are bound on the communicator instance:
-  each call checks its template entry (the structural guard) and then
-  posts through the **shared** :class:`~repro.simmpi.p2p.MessageFabric`
-  — ``post_send`` / ``post_recv``, the same calls the interpreter
-  makes, so queueing, matching and completion have one implementation.
-  What replay skips is the interpreter's argument checks, peer
-  translation and generator chains, which the template has already
-  settled; ``g_Sendrecv`` posts its recv/send pair from one plain
-  function and suspends only when the receive is still pending.
-  Collectives run interpreted and only stay in
-  template sync: the choke-point guard consumes their ``("C", name)``
-  token.  Whole collective invocations are the collective gate's job
+* **replay** — while engaged, each wrapper checks its call against the
+  next template entry (the structural guard), advances the cursor and
+  calls the **interpreted** method, so queueing, matching and
+  completion have one implementation.  Only ``g_Sendrecv`` keeps a
+  replay body of its own: it posts its recv/send pair to the shared
+  :class:`~repro.simmpi.p2p.MessageFabric` from one plain function,
+  skipping the interpreter's argument checks, peer translation and
+  generator chains, and suspends only when the receive is still
+  pending.  Collectives run interpreted and only stay in template
+  sync: the choke-point guard consumes their ``("C", name)`` token.
+  Whole collective invocations are the collective gate's job
   (:mod:`repro.simmpi.coll_analytic`), which resolves them the same
   way whether their ranks replay or interpret.
 * **deopt** — the moment a guard fails (different call, peer, tag or
-  size; a wildcard; a fault firing; the tail of the run) the lean
-  bindings are removed, the call is delegated to the interpreter, and
-  observation restarts.  Replay therefore *never* has to be rolled
-  back: a lean call either matches its template exactly — in which
-  case it performs, bit for bit, the state evolution the interpreter
-  would have — or it is not executed lean at all.
+  size; a wildcard; a fault firing; the tail of the run) the rank
+  leaves the engaged state, the call is delegated to the interpreter
+  unrecorded, and observation restarts with the next call.  Replay
+  therefore *never* has to be rolled back: a guarded call either
+  matches its template exactly — in which case it performs, bit for
+  bit, the state evolution the interpreter would have — or it is not
+  replayed at all.
 
-Because replay posts through the shared fabric, lean and
+Because replay posts through the shared fabric, replaying and
 interpreted ranks interoperate per call: ranks engage and deoptimize
 independently, untracked paths (sub-communicators, probes, persistent
 requests) simply stay interpreted, and every simulated quantity —
@@ -78,7 +83,7 @@ from typing import Any, List, Optional
 import numpy as np
 
 from repro.simmpi.api import ANY_SOURCE, ANY_TAG, PROC_NULL
-from repro.simmpi.comm import Communicator, _payload
+from repro.simmpi.comm import Communicator
 from repro.simmpi.datatypes import payload_nbytes
 from repro.simmpi.request import Request
 
@@ -97,10 +102,10 @@ _MAX_PERIOD = 128
 #: rank stays on the interpreter (churny phase behaviour).
 _MAX_ENGAGEMENTS = 8
 
-#: Names bound on the communicator instance during observation.
-_OBS_NAMES = ("Isend", "Irecv", "isend", "irecv", "_collective_entry")
-#: Names bound during replay (superset of the observed surface).
-_LEAN_NAMES = _OBS_NAMES + ("g_Sendrecv",)
+#: The wrapper set bound on each tracked rank's communicator instance.
+_BOUND_NAMES = (
+    "Isend", "isend", "Irecv", "irecv", "_collective_entry", "g_Sendrecv",
+)
 
 
 def macrostep_enabled(value: Optional[str] = None) -> bool:
@@ -143,17 +148,8 @@ class _RankJit:
     """Per-rank capture/replay state."""
 
     __slots__ = (
-        "comm",
-        "ctx",
-        "rank",
-        "tokens",
-        "template",
-        "consts",
-        "cursor",
-        "wraps",
-        "engaged",
-        "dead",
-        "engagements",
+        "comm", "ctx", "rank", "tokens", "template", "consts", "cursor",
+        "wraps", "engaged", "dead", "engagements",
     )
 
     def __init__(self, comm):
@@ -192,7 +188,7 @@ class MacrostepController:
         for prog in self.engine._ranks:
             jit = _RankJit(prog.ctx.comm)
             self.jits.append(jit)
-            _install_observers(self, jit)
+            _bind(self, jit)
 
     def collect(self) -> None:
         """Copy the per-rank counters onto the engine (run finalize)."""
@@ -202,15 +198,13 @@ class MacrostepController:
         eng.deopts = self.deopts
 
     def detach(self) -> None:
-        """Unbind every rank's observers and lean methods (run release).
+        """Unbind every rank's wrapper set (run release).
 
         The bound closures and the communicator they are bound on point
         at each other; dropping them lets reference counting free both.
         """
         for jit in self.jits:
-            d = jit.comm.__dict__
-            for name in _LEAN_NAMES:
-                d.pop(name, None)
+            _unbind(jit)
 
     # -- capture ---------------------------------------------------------------
 
@@ -239,14 +233,12 @@ class MacrostepController:
         """Give up on this rank for good (wildcards, aperiodic stream)."""
         jit.dead = True
         jit.tokens = []
-        d = jit.comm.__dict__
-        for name in _LEAN_NAMES:
-            d.pop(name, None)
+        _unbind(jit)
 
     # -- engage / deopt --------------------------------------------------------
 
     def _engage(self, jit: _RankJit, template: List[tuple]) -> None:
-        """Compile ``template`` and bind the lean methods."""
+        """Compile ``template`` and switch the rank to replay."""
         consts = _build_consts(self.engine, jit, template)
         if consts is None:
             # The steady pattern itself is ineligible (rendezvous
@@ -260,83 +252,14 @@ class MacrostepController:
         jit.engagements += 1
         jit.tokens = []
         self.captured += 1
-        d = jit.comm.__dict__
-        for name in _OBS_NAMES:
-            d.pop(name, None)
-        _install_lean(self, jit)
 
     def deopt(self, jit: _RankJit) -> None:
-        """Fall back to the interpreter; restart observation."""
+        """Fall back to the interpreter; restart observation (the
+        token stream is already empty: engaging cleared it)."""
         self.deopts += 1
         jit.engaged = False
-        d = jit.comm.__dict__
-        for name in _LEAN_NAMES:
-            d.pop(name, None)
         if jit.engagements >= _MAX_ENGAGEMENTS:
-            jit.dead = True
-            return
-        jit.tokens = []
-        _install_observers(self, jit)
-
-
-# ---------------------------------------------------------------------------
-# observation wrappers
-# ---------------------------------------------------------------------------
-
-
-def _install_observers(ctrl: MacrostepController, jit: _RankJit) -> None:
-    """Bind token-recording wrappers on the rank's own communicator.
-
-    Instance attributes shadow the class methods for this rank only;
-    other ranks' communicators are untouched.  Each wrapper records its
-    token and delegates to the interpreted implementation.
-    """
-    comm = jit.comm
-    note = ctrl.note
-    poison = ctrl.poison
-
-    def obs_Isend(buf, dest, tag=0):
-        if not jit.dead:
-            if dest == PROC_NULL:
-                poison(jit)
-            else:
-                note(jit, ("S", dest, tag, np.asarray(buf).nbytes))
-        return Communicator.Isend(comm, buf, dest, tag)
-
-    def obs_isend(obj, dest, tag=0):
-        if not jit.dead:
-            if dest == PROC_NULL:
-                poison(jit)
-            else:
-                note(jit, ("s", dest, tag, payload_nbytes(obj)))
-        return Communicator.isend(comm, obj, dest, tag)
-
-    def obs_Irecv(buf, source=ANY_SOURCE, tag=ANY_TAG):
-        if not jit.dead:
-            if source == ANY_SOURCE or source == PROC_NULL or tag == ANY_TAG:
-                poison(jit)
-            else:
-                note(jit, ("R", source, tag))
-        return Communicator.Irecv(comm, buf, source, tag)
-
-    def obs_irecv(source=ANY_SOURCE, tag=ANY_TAG):
-        if not jit.dead:
-            if source == ANY_SOURCE or source == PROC_NULL or tag == ANY_TAG:
-                poison(jit)
-            else:
-                note(jit, ("r", source, tag))
-        return Communicator.irecv(comm, source, tag)
-
-    def obs_collective_entry(name):
-        if not jit.dead:
-            note(jit, ("C", name))
-        return Communicator._collective_entry(comm, name)
-
-    comm.Isend = obs_Isend
-    comm.isend = obs_isend
-    comm.Irecv = obs_Irecv
-    comm.irecv = obs_irecv
-    comm._collective_entry = obs_collective_entry
+            self.poison(jit)
 
 
 # ---------------------------------------------------------------------------
@@ -369,117 +292,108 @@ def _build_consts(engine, jit: _RankJit, template: List[tuple]):
 
 
 # ---------------------------------------------------------------------------
-# lean (replay) methods
+# the wrapper set
 # ---------------------------------------------------------------------------
 
 
-def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
-    """Bind the replay methods on the rank's communicator.
+def _unbind(jit: _RankJit) -> None:
+    d = jit.comm.__dict__
+    for name in _BOUND_NAMES:
+        d.pop(name, None)
 
-    Each one checks its template entry and then posts through the
-    shared :class:`~repro.simmpi.p2p.MessageFabric` exactly as the
-    interpreted call does, minus the argument checks, peer translation
-    and generator chains the template has already settled.  The
-    differential suite checks bit-identity.
+
+def _bind(ctrl: MacrostepController, jit: _RankJit) -> None:
+    """Bind the rank's wrapper set on its own communicator, once.
+
+    Instance attributes shadow the class methods for this rank only.
+    Each wrapper reads the rank's phase at call time: observing, it
+    records its token; engaged, it checks the template entry and
+    advances the cursor.  Either way the interpreted method does the
+    work, except in the fused ``g_Sendrecv`` replay below.
     """
     comm = jit.comm
     ctx = jit.ctx
+    note = ctrl.note
+    poison = ctrl.poison
+    deopt = ctrl.deopt
+
+    def _advance(tok) -> bool:
+        # Engaged guard: step past ``tok`` if it is the next template
+        # entry, else deoptimize.
+        template = jit.template
+        cur = jit.cursor
+        if tok != template[cur]:
+            deopt(jit)
+            return False
+        cur += 1
+        if cur == len(template):
+            cur = 0
+            jit.wraps += 1
+        jit.cursor = cur
+        return True
+
+    def _track(tok, method, *args):
+        # One point-to-point post; ``tok`` is None for a call no
+        # template can pin (PROC_NULL, wildcards).
+        if jit.engaged:
+            if comm._freed:
+                deopt(jit)
+            elif _advance(tok):
+                # A post that raises (a hang or crash fault firing at
+                # the fabric's poll) deoptimizes before the exception
+                # unwinds the rank.
+                try:
+                    return method(comm, *args)
+                except BaseException:
+                    deopt(jit)
+                    raise
+        elif not jit.dead:
+            if tok is None:
+                poison(jit)
+            else:
+                note(jit, tok)
+        return method(comm, *args)
+
+    def Isend(buf, dest, tag=0):
+        tok = None if dest == PROC_NULL else (
+            "S", dest, tag, np.asarray(buf).nbytes)
+        return _track(tok, Communicator.Isend, buf, dest, tag)
+
+    def isend(obj, dest, tag=0):
+        tok = None if dest == PROC_NULL else (
+            "s", dest, tag, payload_nbytes(obj))
+        return _track(tok, Communicator.isend, obj, dest, tag)
+
+    def Irecv(buf, source=ANY_SOURCE, tag=ANY_TAG):
+        tok = None if (
+            source == ANY_SOURCE or source == PROC_NULL or tag == ANY_TAG
+        ) else ("R", source, tag)
+        return _track(tok, Communicator.Irecv, buf, source, tag)
+
+    def irecv(source=ANY_SOURCE, tag=ANY_TAG):
+        tok = None if (
+            source == ANY_SOURCE or source == PROC_NULL or tag == ANY_TAG
+        ) else ("r", source, tag)
+        return _track(tok, Communicator.irecv, source, tag)
+
+    def _collective_entry(name):
+        # Collectives run interpreted but must stay in template sync:
+        # consume their "C" token or deoptimize.
+        if jit.engaged:
+            _advance(("C", name))
+        elif not jit.dead:
+            note(jit, ("C", name))
+        return Communicator._collective_entry(comm, name)
+
+    # -- fused g_Sendrecv: the one replay body of its own -------------------
+
     fabric = ctrl.engine.fabric
     post_send = fabric.post_send
     post_recv = fabric.post_recv
     pkey = ("p", comm.cid)
-    template = jit.template
-    consts = jit.consts
-    L = len(template)
-    deopt = ctrl.deopt
     #: Pooled requests for the fused sendrecv (they never escape it).
     pooled = Request(ctx, "recv", "macrostep replay recv")
     pooled_send = Request(ctx, "send", "macrostep replay send")
-
-    def _advance(n: int) -> None:
-        cur = jit.cursor + n
-        if cur >= L:
-            cur -= L
-            jit.wraps += 1
-        jit.cursor = cur
-
-    # A post that raises (a hang or crash fault firing at the fabric's
-    # poll) deoptimizes before the exception unwinds the rank.
-
-    # -- standalone lean point-to-point (requests escape to the caller) ------
-
-    def lean_Isend(buf, dest, tag=0):
-        e = template[jit.cursor]
-        sb = np.asarray(buf)
-        if (
-            e[0] != "S" or e[1] != dest or e[2] != tag
-            or e[3] != sb.nbytes or comm._freed
-        ):
-            deopt(jit)
-            return Communicator.Isend(comm, buf, dest, tag)
-        dst = consts[jit.cursor]
-        _advance(1)
-        req = Request(ctx, "send", ("Isend(dest={}, tag={})", dest, tag))
-        try:
-            post_send(ctx, pkey, dst, tag, sb, sb.nbytes, req)
-        except BaseException:
-            deopt(jit)
-            raise
-        return req
-
-    def lean_isend(obj, dest, tag=0):
-        e = template[jit.cursor]
-        if e[0] != "s" or e[1] != dest or e[2] != tag or comm._freed:
-            deopt(jit)
-            return Communicator.isend(comm, obj, dest, tag)
-        payload = _payload(obj)
-        nb = payload_nbytes(payload)
-        if nb != e[3]:
-            deopt(jit)
-            # Re-posting through the interpreter would snapshot twice;
-            # the snapshot is semantically idempotent, so reuse it.
-            return Communicator.isend(comm, payload, dest, tag)
-        dst = consts[jit.cursor]
-        _advance(1)
-        req = Request(ctx, "send", ("isend(dest={}, tag={})", dest, tag))
-        try:
-            post_send(ctx, pkey, dst, tag, payload, nb, req)
-        except BaseException:
-            deopt(jit)
-            raise
-        return req
-
-    def lean_Irecv(buf, source=ANY_SOURCE, tag=ANY_TAG):
-        e = template[jit.cursor]
-        if e[0] != "R" or e[1] != source or e[2] != tag or comm._freed:
-            deopt(jit)
-            return Communicator.Irecv(comm, buf, source, tag)
-        src = consts[jit.cursor]
-        _advance(1)
-        req = Request(ctx, "recv", ("Irecv(source={}, tag={})", source, tag))
-        try:
-            post_recv(ctx, pkey, src, tag, np.asarray(buf), req)
-        except BaseException:
-            deopt(jit)
-            raise
-        return req
-
-    def lean_irecv(source=ANY_SOURCE, tag=ANY_TAG):
-        e = template[jit.cursor]
-        if e[0] != "r" or e[1] != source or e[2] != tag or comm._freed:
-            deopt(jit)
-            return Communicator.irecv(comm, source, tag)
-        src = consts[jit.cursor]
-        _advance(1)
-        req = Request(ctx, "recv", ("irecv(source={}, tag={})", source, tag))
-        try:
-            post_recv(ctx, pkey, src, tag, None, req)
-        except BaseException:
-            deopt(jit)
-            raise
-        return req
-
-    # -- fused g_Sendrecv ----------------------------------------------------
 
     def _block_tail(rreq):
         # Suspension tail of a fused sendrecv whose message has not
@@ -488,16 +402,22 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
         yield rreq
         return None
 
-    def lean_g_Sendrecv(sendbuf, dest, recvbuf, source,
-                        sendtag=0, recvtag=ANY_TAG):
-        # Consumes the adjacent (R, S) token pair the interpreted
-        # g_Sendrecv (Irecv-then-Isend) recorded during capture.
+    def g_Sendrecv(sendbuf, dest, recvbuf, source, sendtag=0, recvtag=ANY_TAG):
+        # Engaged, consumes the adjacent (R, S) token pair the
+        # interpreted g_Sendrecv (Irecv-then-Isend) recorded during
+        # capture.
         #
         # A plain function, not a generator: ``yield from`` accepts any
         # iterable, so the (dominant) non-blocking completion returns an
         # empty tuple — skipping generator creation, send dispatch and
         # StopIteration unwinding per call — and only a genuinely
         # pending receive returns the tiny _block_tail generator.
+        if not jit.engaged:
+            return Communicator.g_Sendrecv(
+                comm, sendbuf, dest, recvbuf, source, sendtag, recvtag
+            )
+        template = jit.template
+        L = len(template)
         cur = jit.cursor
         nxt = cur + 1
         if nxt == L:
@@ -514,6 +434,7 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
             return Communicator.g_Sendrecv(
                 comm, sendbuf, dest, recvbuf, source, sendtag, recvtag
             )
+        consts = jit.consts
         src = consts[cur]
         dst = consts[nxt]
         cur += 2
@@ -545,21 +466,5 @@ def _install_lean(ctrl: MacrostepController, jit: _RankJit) -> None:
         rreq._waited = True
         return ()
 
-    # -- guarded collective choke point --------------------------------------
-
-    def lean_collective_entry(name):
-        # Collectives run interpreted but must stay in template sync:
-        # consume their "C" token or deoptimize.
-        e = template[jit.cursor]
-        if e[0] == "C" and e[1] == name:
-            _advance(1)
-        else:
-            deopt(jit)
-        return Communicator._collective_entry(comm, name)
-
-    comm.Isend = lean_Isend
-    comm.isend = lean_isend
-    comm.Irecv = lean_Irecv
-    comm.irecv = lean_irecv
-    comm.g_Sendrecv = lean_g_Sendrecv
-    comm._collective_entry = lean_collective_entry
+    for fn in (Isend, isend, Irecv, irecv, _collective_entry, g_Sendrecv):
+        comm.__dict__[fn.__name__] = fn

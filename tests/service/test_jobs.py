@@ -52,6 +52,23 @@ def test_bad_convolution_specs_rejected(mutant):
         parse_job_spec(tiny_conv_spec(**mutant))
 
 
+@pytest.mark.parametrize("make, machine", [
+    (tiny_lulesh_spec, {"name": "knl", "nodes": 4}),
+    (tiny_conv_spec, {"name": "laptop", "jitter": 0.5}),
+])
+def test_machine_options_the_machine_does_not_take_are_rejected(make, machine):
+    """Job machine blocks are validated like scenario machine blocks:
+    an option the named machine does not take is an error, not a
+    silently ignored field that still changes the content key."""
+    with pytest.raises(JobSpecError, match="invalid machine block"):
+        parse_job_spec(make(machine=machine))
+
+
+def test_nehalem_machine_keeps_the_24_node_default():
+    spec = parse_job_spec(tiny_conv_spec(machine={"name": "nehalem"}))
+    assert build_sweep(spec).machine.nodes == 24
+
+
 def test_bad_lulesh_grid_rejected():
     with pytest.raises(JobSpecError):
         parse_job_spec(tiny_lulesh_spec(grid={"3": [1]}))  # not a cube
