@@ -22,7 +22,13 @@ run (``jobs > 1`` or ``$REPRO_JOBS``) merges, in canonical
 with the same ordered ``progress`` line stream.  When a
 :class:`~repro.harness.cache.RunCache` is active (passed explicitly, or
 by default whenever ``$REPRO_CACHE_DIR`` is set), previously executed
-points are replayed from disk instead of re-simulated.
+points are replayed from disk instead of re-simulated.  Below the run
+cache, a Lulesh grid point whose ``(config, p)`` another point of the
+same process already computed runs as a timing skeleton: the physics
+comes from the workload's own memo
+(:func:`repro.workloads.lulesh.run_lulesh`), every virtual-time output
+is unchanged, and neither this module nor any cache key sees the
+difference.
 
 **Fail-soft execution.**  ``on_error="raise"`` (default) propagates the
 first failing point's exception; ``on_error="skip"`` keeps the sweep

@@ -70,9 +70,11 @@ job (otherwise outside ranks could interleave port traffic
 mid-collective).  Sub-communicators and the linear ablation variants
 take the ungated message path unchanged.
 
-The last arrival decides fast or message path in one place,
-:meth:`CollectiveGate._admits_fast`.  Only what the replay cannot model
-keeps it out: a hang or crash in the :class:`~repro.faults.FaultPlan`
+The last arrival decides fast or message path: fast when
+``engine.coll_analytic`` is on and the engine's one admission rule,
+:attr:`~repro.simmpi.engine._EngineBase.admits_fast_paths`, holds (the
+rule LULESH's timing skeleton shares).  Only what the replay cannot
+model keeps it out: a hang or crash in the :class:`~repro.faults.FaultPlan`
 (its delivery point must fire in the owning rank's own scheduling
 slot) and a PMPI tool that wants ``on_send`` / ``on_recv``.  Every rank
 then runs its own message-path program.  Straggler and noise faults
@@ -212,7 +214,7 @@ class CollectiveGate:
 
         Fault and tool runs cross the gate too (so their engine
         interleaving — and hence their clocks — stays comparable to
-        plain runs); :meth:`_admits_fast` picks their path.
+        plain runs); the engine's admission rule picks their path.
         """
         engine = self.engine
         return comm.size == engine.n_ranks and comm.size > 1
@@ -259,7 +261,7 @@ class CollectiveGate:
             engine.network.open_channels(
                 [src for src in ranks for _ in ranks],
                 [dst for _ in ranks for dst in ranks])
-        if self._admits_fast():
+        if engine.coll_analytic and engine.admits_fast_paths:
             entry.mode = "fast"
             if kind != "allreduce" or not _flat_allreduce(engine, entry):
                 _Replay(entry).run()
@@ -273,18 +275,6 @@ class CollectiveGate:
         return (yield from self._g_run_threaded(entry, comm))
 
     # -- internals ---------------------------------------------------------------
-
-    def _admits_fast(self) -> bool:
-        """Whether the last arrival resolves the invocation by replay
-        (the admission rule of the module docstring)."""
-        engine = self.engine
-        if not engine.coll_analytic:
-            return False
-        faults = engine.faults
-        if faults is not None and faults.has_lifecycle_faults:
-            return False
-        tools = engine.tools
-        return not (tools.wants("on_send") or tools.wants("on_recv"))
 
     def _wake_others(self, entry: _GateEntry, rank: int) -> None:
         """Mark every other participant runnable again (entry release)."""

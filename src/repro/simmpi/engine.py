@@ -780,6 +780,25 @@ class _EngineBase:
         """This run's fault interpreter (None without a fault plan)."""
         return self._faults
 
+    @property
+    def admits_fast_paths(self) -> bool:
+        """The one admission rule of the paths that skip work a run
+        would otherwise do: the collective gate's replay
+        (:mod:`repro.simmpi.coll_analytic`) and LULESH's timing skeleton
+        (:mod:`repro.workloads.lulesh`).
+
+        False when a hang or crash applies to a rank of this run (its
+        delivery point must fire inside the rank's own work) or when a
+        PMPI tool hooks ``on_send`` / ``on_recv`` (it watches every
+        message the program posts).  Straggler, noise and link faults
+        act on timing only, so they admit.
+        """
+        faults = self._faults
+        if faults is not None and faults.has_lifecycle_faults:
+            return False
+        tools = self.tools
+        return not (tools.wants("on_send") or tools.wants("on_recv"))
+
     def fault_poll(self, ctx) -> None:
         """Deliver any due hang/crash fault for ``ctx``'s rank.
 

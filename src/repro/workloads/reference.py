@@ -17,7 +17,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.errors import WorkloadError, WorkloadValidityError
-from repro.simmpi.engine import RunResult, run_mpi
+from repro.simmpi.engine import RunResult
 from repro.workloads.base import WorkloadPlugin, params_from_config
 from repro.workloads.convolution import (
     SECTIONS as CONV_SECTIONS,
@@ -25,7 +25,7 @@ from repro.workloads.convolution import (
     ConvolutionConfig,
 )
 from repro.workloads.lbm import LBMBenchmark, LBMConfig
-from repro.workloads.lulesh import LuleshBenchmark, LuleshConfig
+from repro.workloads.lulesh import LuleshBenchmark, LuleshConfig, run_lulesh
 from repro.workloads.registry import register
 
 #: Lulesh section labels in traversal order (the paper's 21 sections).
@@ -195,14 +195,15 @@ class LuleshWorkload(WorkloadPlugin):
         macrostep: Optional[bool] = None,
         tools=(),
     ) -> RunResult:
-        """Drive :class:`LuleshBenchmark` with hybrid ``threads`` and the
-        paper's all-ranks-on-one-node placement by default."""
-        bench = LuleshBenchmark(self.to_config())
-        return run_mpi(
+        """Delegate to :func:`~repro.workloads.lulesh.run_lulesh` with
+        hybrid ``threads`` (the paper's all-ranks-on-one-node placement
+        by default)."""
+        return run_lulesh(
+            self.to_config(),
             p,
-            bench.main,
+            threads=threads,
             machine=machine,
-            ranks_per_node=p if ranks_per_node is None else ranks_per_node,
+            ranks_per_node=ranks_per_node,
             seed=seed,
             compute_jitter=compute_jitter,
             noise_floor=noise_floor,
@@ -211,7 +212,6 @@ class LuleshWorkload(WorkloadPlugin):
             wall_timeout=wall_timeout,
             engine=engine,
             macrostep=macrostep,
-            args=(threads,),
         )
 
     def _collect(self, result: RunResult):

@@ -6,8 +6,10 @@ import pytest
 from repro.core.profile import SectionProfile
 from repro.errors import ReproError
 from repro.machine.catalog import knl_node
+from repro.workloads import lulesh_phases as ph
 from repro.workloads.lulesh import (
     PAPER_TOTAL_ELEMENTS,
+    PHYSICS_MEMO,
     LuleshBenchmark,
     LuleshConfig,
     lulesh_strong_scaling_configs,
@@ -127,11 +129,23 @@ def test_decomposition_invariance_p8_vs_p27():
     assert np.array_equal(r8.energy_field, r27.energy_field)
 
 
-def test_thread_count_does_not_change_physics():
+def test_thread_count_does_not_change_physics(monkeypatch):
+    # The premise of the physics memo, so both runs must compute: the
+    # memo is emptied before each and a kernel spy counts the calls.
+    calls = []
+    real = ph.eval_eos
+    monkeypatch.setattr(ph, "eval_eos",
+                        lambda *a: calls.append(1) or real(*a))
     cfg = LuleshConfig(s=6, steps=4, return_fields=True)
-    f1 = LuleshBenchmark(cfg).run(1, nthreads=1, machine=knl_node(jitter=0.0))[1]
-    f16 = LuleshBenchmark(cfg).run(1, nthreads=16, machine=knl_node(jitter=0.0))[1]
-    assert np.array_equal(f1.energy_field, f16.energy_field)
+    fields = []
+    for t in (1, 16):
+        PHYSICS_MEMO.clear()
+        before = len(calls)
+        fields.append(LuleshBenchmark(cfg).run(
+            1, nthreads=t, machine=knl_node(jitter=0.0))[1].energy_field)
+        assert len(calls) > before
+    PHYSICS_MEMO.clear()
+    assert np.array_equal(fields[0], fields[1])
 
 
 def test_dt_adapts_globally(small_run):
