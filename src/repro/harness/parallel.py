@@ -44,6 +44,7 @@ from repro.harness.failures import (
     SweepFailureReport,
     SweepPointError,
 )
+from repro.workloads.physics_scope import physics_scope
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -349,6 +350,14 @@ def sweep_points(
     point runs.  The loop runs inside a ``sweep.run`` span (tagged with
     ``workload`` and ``span_fields``), and ``trace`` names the trace it
     mints when ``REPRO_TRACE`` is set — see :mod:`repro.obs`.
+
+    The loop also runs inside one
+    :func:`~repro.workloads.physics_scope.physics_scope`, the only one
+    the library opens: a workload whose numbers do not depend on the
+    point (the convolution image, LULESH's physics per process count)
+    computes them at the first point that runs here and replays them as
+    a timing skeleton at later ones, and the memo is gone when the sweep
+    returns.
     """
     if on_error not in ("raise", "skip"):
         raise ValueError(
@@ -356,7 +365,8 @@ def sweep_points(
         )
     with obs.env_trace(trace, layer="harness"), \
             obs.span("sweep.run", layer="harness", workload=workload,
-                     **span_fields) as sweep_span:
+                     **span_fields) as sweep_span, \
+            physics_scope():
         _check_seed_collisions(points)
         if cache is None:
             cache = maybe_default_cache()

@@ -23,12 +23,13 @@ with the same ordered ``progress`` line stream.  When a
 :class:`~repro.harness.cache.RunCache` is active (passed explicitly, or
 by default whenever ``$REPRO_CACHE_DIR`` is set), previously executed
 points are replayed from disk instead of re-simulated.  Below the run
-cache, a Lulesh grid point whose ``(config, p)`` another point of the
-same process already computed runs as a timing skeleton: the physics
-comes from the workload's own memo
-(:func:`repro.workloads.lulesh.run_lulesh`), every virtual-time output
-is unchanged, and neither this module nor any cache key sees the
-difference.
+cache, a point whose numbers an earlier point of the same sweep already
+computed runs as a timing skeleton: a convolution point after the
+sweep's first run of its config, a Lulesh grid point after the first of
+its ``(config, p)``.  The numbers come from the sweep's physics scope
+(:mod:`repro.workloads.physics_scope`, opened by ``sweep_points``),
+every virtual-time output is unchanged, and neither this module nor any
+cache key sees the difference.
 
 **Fail-soft execution.**  ``on_error="raise"`` (default) propagates the
 first failing point's exception; ``on_error="skip"`` keeps the sweep

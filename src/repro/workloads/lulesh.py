@@ -36,17 +36,20 @@ compute loops run through the simulated OpenMP runtime, so a single run
 produces both the MPI and the OpenMP timing structure from nothing but
 MPI-level section instrumentation — the paper's headline demonstration.
 
-Physics once per (config, p)
-----------------------------
+Physics once per (config, p) per sweep
+--------------------------------------
 Virtual time never depends on what a kernel computes: a parallel loop
 charges its modeled region time whatever its body does, the ghost
 planes and the ``CommDt`` operand have fixed sizes, and ``dt`` feeds
 only the kernels.  The physics itself depends on neither the thread
 count (the kernels split into the same elementwise slabs) nor the seed
 (the initial state takes none).  So :func:`run_lulesh`, the one driver,
-keeps a bounded, thread-safe, process-wide memo (:data:`PHYSICS_MEMO`)
-keyed on ``(LuleshConfig, p)`` — the frozen config as it is; machine,
-threads, seed, jitter and timing-only faults stay out of the key.
+keeps the physics in the sweep's scope
+(:mod:`repro.workloads.physics_scope`) keyed on ``(LuleshConfig, p)`` —
+the frozen config as it is; machine, threads, seed, jitter and
+timing-only faults stay out of the key.  The scope lasts one sweep and
+holds the latest key only, which is all a grid needs: it runs every
+thread count and repetition of one ``p`` in a row.
 
 The first run of a key executes the kernels and, only once it has
 returned successfully, stores every rank's ``energy``,
@@ -66,13 +69,11 @@ A rank runs the skeleton only when the engine's fast-path admission
 rule (:attr:`~repro.simmpi.engine._EngineBase.admits_fast_paths`, the
 one the collective gate uses) holds: a run with a hang or crash plan,
 or with a PMPI tool hooking ``on_send`` / ``on_recv``, computes.  A
-worker process whose memo lacks the key computes too.
+run outside any sweep computes too.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -87,6 +88,7 @@ from repro.simmpi.reduce_ops import MAX
 from repro.simmpi.sections_rt import section
 from repro.simmpi.topology import CartGrid
 from repro.workloads import lulesh_phases as ph
+from repro.workloads.physics_scope import recall, remember
 
 #: The paper's element-count invariant: all strong-scaling configurations
 #: hold the global problem at 110 592 elements (Figure 7).
@@ -156,52 +158,8 @@ def lulesh_strong_scaling_configs(
     return out
 
 
-#: Keys the physics memo holds: a paper grid has one per process count
-#: (four); twice that keeps a second config's grid as well.
-PHYSICS_MEMO_SIZE = 8
-
 #: One rank's stored physics: (energy, initial_energy, dt, e_field or None).
 RankPhysics = Tuple[float, float, float, Optional[np.ndarray]]
-
-
-class PhysicsMemo:
-    """Bounded, thread-safe ``(LuleshConfig, p) -> per-rank physics``
-    map; the least recently used key is evicted first."""
-
-    def __init__(self, maxsize: int = PHYSICS_MEMO_SIZE):
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[tuple, Tuple[RankPhysics, ...]]" = (
-            OrderedDict())
-        self._lock = threading.Lock()
-
-    def get(self, key: tuple) -> Optional[Tuple[RankPhysics, ...]]:
-        """The stored per-rank physics of ``key``, or None."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def put(self, key: tuple, entry: Tuple[RankPhysics, ...]) -> None:
-        """Store ``key``'s per-rank physics, evicting beyond the bound."""
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every entry (the next run of each key computes)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
-#: The process-wide memo :func:`run_lulesh` reads and fills.
-PHYSICS_MEMO = PhysicsMemo()
 
 
 def _stored(rank_result: dict) -> RankPhysics:
@@ -514,13 +472,13 @@ def run_lulesh(
     """Run the proxy at ``(p, threads)``; all ranks share one node
     unless ``ranks_per_node`` says otherwise.
 
-    The one LULESH driver: it reads :data:`PHYSICS_MEMO`, hands the
+    The one LULESH driver: it reads the sweep's physics scope, hands the
     entry (if any) to every rank, which then runs the timing skeleton
     where the engine admits it (module docstring), and stores the
     physics of a run that computed once ``run_mpi`` has returned.
     """
     key = (config, p)
-    memo = PHYSICS_MEMO.get(key)
+    memo = recall(key)
     run = run_mpi(
         p,
         LuleshBenchmark(config).main,
@@ -537,5 +495,5 @@ def run_lulesh(
         args=(threads, memo),
     )
     if memo is None:
-        PHYSICS_MEMO.put(key, tuple(_stored(r) for r in run.results))
+        remember(key, lambda: tuple(_stored(r) for r in run.results))
     return run

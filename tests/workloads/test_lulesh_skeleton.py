@@ -1,17 +1,17 @@
-"""LULESH's physics once per (config, p): timing skeletons are exact.
+"""LULESH's physics once per (config, p) per sweep: skeletons are exact.
 
-After the first run of a ``(LuleshConfig, p)`` key, :func:`run_lulesh`
-runs every later point of that key as a timing skeleton that takes its
-physics from :data:`PHYSICS_MEMO`.  These tests pin that a skeleton is
-indistinguishable from a run that computed (profiles, drifts, results,
-clocks, section events, network and macro-step counters), that it only
-engages where the engine's fast-path admission rule holds, and that the
-memo stays bounded, copy-safe and free of failed runs.
+Inside a sweep's physics scope, after the first run of a
+``(LuleshConfig, p)`` key, :func:`run_lulesh` runs every later point of
+that key as a timing skeleton that takes its physics from the scope.
+These tests pin that a skeleton is indistinguishable from a run that
+computed (profiles, drifts, results, clocks, section events, network and
+macro-step counters), that it only engages where the engine's fast-path
+admission rule holds, and that the stored physics is copy-safe, free of
+failed runs, private to its sweep and gone when the sweep ends.
 """
 
 from __future__ import annotations
 
-import sys
 import threading
 
 import numpy as np
@@ -21,18 +21,14 @@ from repro.core.export import profile_to_dict
 from repro.core.profile import SectionProfile
 from repro.errors import RankFailedError
 from repro.faults import FaultPlan
+from repro.harness.runner import run_lulesh_grid
+from repro.harness.sweeps import LuleshGridSweep
 from repro.machine.catalog import knl_node
 from repro.simmpi.pmpi import Tool
 from repro.workloads import lulesh_phases as ph
 from repro.workloads import registry
-from repro.workloads.lulesh import (
-    PHYSICS_MEMO,
-    PHYSICS_MEMO_SIZE,
-    LuleshBenchmark,
-    LuleshConfig,
-    PhysicsMemo,
-    run_lulesh,
-)
+from repro.workloads.lulesh import LuleshBenchmark, LuleshConfig, run_lulesh
+from repro.workloads.physics_scope import physics_scope
 
 from tests.simmpi.test_threadfree import _eq
 
@@ -53,9 +49,7 @@ def kernel_calls(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(ph, "eval_eos", spy)
-    PHYSICS_MEMO.clear()
-    yield calls
-    PHYSICS_MEMO.clear()
+    return calls
 
 
 def _point(cfg, p, t, engine, **kw):
@@ -67,19 +61,16 @@ def _point(cfg, p, t, engine, **kw):
     return run, plugin.metrics(run)["energy_drift"]
 
 
-def _grid(engine, kernel_calls, *, clear_each):
-    """Run ``GRID``; ``clear_each`` empties the memo before every point.
+def _grid(engine, kernel_calls):
+    """Run ``GRID`` in the caller's scope (if any).
 
     Returns ``{(p, t): (run, drift, computed)}``, ``computed`` telling
     whether the point ran the kernels.
     """
-    PHYSICS_MEMO.clear()
     out = {}
     for p, threads in GRID.items():
         cfg = LuleshConfig(s=SIDES[p], steps=2, return_fields=True)
         for t in threads:
-            if clear_each:
-                PHYSICS_MEMO.clear()
             before = kernel_calls[0]
             run, drift = _point(cfg, p, t, engine)
             out[(p, t)] = (run, drift, kernel_calls[0] > before)
@@ -88,8 +79,9 @@ def _grid(engine, kernel_calls, *, clear_each):
 
 @pytest.mark.parametrize("engine", ["threadfree", "threads"])
 def test_skeleton_grid_bit_identical(engine, kernel_calls):
-    computed = _grid(engine, kernel_calls, clear_each=True)
-    skeleton = _grid(engine, kernel_calls, clear_each=False)
+    computed = _grid(engine, kernel_calls)
+    with physics_scope():
+        skeleton = _grid(engine, kernel_calls)
     for (p, t), (ref, ref_drift, ref_computed) in computed.items():
         run, drift, ran_kernels = skeleton[(p, t)]
         assert ref_computed
@@ -142,18 +134,19 @@ _LATE = 1e6  # virtual seconds: a fault planned after the run has ended
 ], ids=["crash", "hang", "on_send-tool", "straggler", "rank-end-tool"])
 def test_skeleton_admission(kw, computes, kernel_calls):
     cfg = LuleshConfig(s=4, steps=2)
-    first = run_lulesh(cfg, 8, threads=1, machine=knl_node(), **kw)
-    assert kernel_calls[0] > 0
-    before = kernel_calls[0]
-    again = run_lulesh(cfg, 8, threads=2, machine=knl_node(), **kw)
-    assert (kernel_calls[0] > before) is computes
+    with physics_scope():
+        first = run_lulesh(cfg, 8, threads=1, machine=knl_node(), **kw)
+        assert kernel_calls[0] > 0
+        before = kernel_calls[0]
+        again = run_lulesh(cfg, 8, threads=2, machine=knl_node(), **kw)
+        assert (kernel_calls[0] > before) is computes
     assert _eq([{k: v for k, v in r.items() if k != "omp_regions"}
                 for r in again.results],
                [{k: v for k, v in r.items() if k != "omp_regions"}
                 for r in first.results])
 
 
-# -- the memo -------------------------------------------------------------------------
+# -- the stored physics ----------------------------------------------------------
 
 
 class _FailAtEnd(Tool):
@@ -174,91 +167,128 @@ class _FailAtEnd(Tool):
 
 def test_failed_run_leaves_no_memo_entry(kernel_calls):
     cfg = LuleshConfig(s=4, steps=1)
-    with pytest.raises(RankFailedError):
-        run_lulesh(cfg, 8, machine=knl_node(), tools=(_FailAtEnd(),))
-    assert kernel_calls[0] > 0
-    assert len(PHYSICS_MEMO) == 0
-    before = kernel_calls[0]
-    run_lulesh(cfg, 8, machine=knl_node())
-    assert kernel_calls[0] > before  # nothing stored: the next run computes
+    with physics_scope():
+        with pytest.raises(RankFailedError):
+            run_lulesh(cfg, 8, machine=knl_node(), tools=(_FailAtEnd(),))
+        assert kernel_calls[0] > 0
+        before = kernel_calls[0]
+        run_lulesh(cfg, 8, machine=knl_node())
+        assert kernel_calls[0] > before  # nothing stored: this run computes
+        before = kernel_calls[0]
+        run_lulesh(cfg, 8, threads=2, machine=knl_node())
+        assert kernel_calls[0] == before
 
 
 def test_memo_hands_out_copies(kernel_calls):
     cfg = LuleshConfig(s=4, steps=2, return_fields=True)
-    first = run_lulesh(cfg, 8, machine=knl_node())
-    want = [r["e_field"].copy() for r in first.results]
-    first.results[0]["e_field"][...] = -1.0
-    first.results[1]["energy"] = -1.0
-    second = run_lulesh(cfg, 8, threads=2, machine=knl_node())
-    second.results[0]["e_field"][...] = -2.0
-    third = run_lulesh(cfg, 8, threads=4, machine=knl_node())
+    with physics_scope():
+        first = run_lulesh(cfg, 8, machine=knl_node())
+        want = [r["e_field"].copy() for r in first.results]
+        first.results[0]["e_field"][...] = -1.0
+        first.results[1]["energy"] = -1.0
+        second = run_lulesh(cfg, 8, threads=2, machine=knl_node())
+        second.results[0]["e_field"][...] = -2.0
+        third = run_lulesh(cfg, 8, threads=4, machine=knl_node())
     for r, field in zip(third.results, want):
         assert np.array_equal(r["e_field"], field)
         assert r["e_field"].flags.writeable
     assert third.results[1]["energy"] == second.results[1]["energy"] > 0
 
 
-def test_memo_bound_covers_a_paper_grid(kernel_calls):
-    assert PHYSICS_MEMO.maxsize == PHYSICS_MEMO_SIZE
+def _computing_points(sweep, kernel_calls):
+    """Run ``sweep`` serially; the labels of the points that computed."""
+    computed = []
+    seen = [kernel_calls[0]]
+
+    def progress(line):
+        if kernel_calls[0] > seen[0]:
+            computed.append(line.split(":")[0])
+        seen[0] = kernel_calls[0]
+
+    run_lulesh_grid(sweep, progress, sides={1: 4, 8: 2, 27: 2, 64: 2},
+                    jobs=1, cache=None)
+    return computed
+
+
+def test_second_grid_computes_again_once_per_p(kernel_calls):
+    sweep = LuleshGridSweep(config=LuleshConfig(s=4, steps=1),
+                            machine=knl_node(),
+                            grid={1: (1, 2), 8: (1, 2), 27: (1, 2),
+                                  64: (1, 2)})
+    want = [f"lulesh p={p} t=1 rep=0" for p in (1, 8, 27, 64)]
+    # Each grid is one sweep: the second finds nothing of the first's.
+    assert _computing_points(sweep, kernel_calls) == want
+    assert _computing_points(sweep, kernel_calls) == want
+
+
+def test_scope_holds_only_the_latest_key(kernel_calls):
     cfg = LuleshConfig(s=2, steps=1)
+
+    def computes(p, t):
+        before = kernel_calls[0]
+        run_lulesh(cfg, p, threads=t, machine=knl_node())
+        return kernel_calls[0] > before
+
+    with physics_scope():
+        assert [computes(1, 1), computes(1, 2)] == [True, False]
+        assert [computes(8, 1), computes(8, 2)] == [True, False]
+        # p=8 replaced p=1: going back computes again.
+        assert [computes(1, 4), computes(1, 8)] == [True, False]
+
+
+def test_direct_run_computes(kernel_calls):
+    cfg = LuleshConfig(s=4, steps=1)
     for t in (1, 2):
         before = kernel_calls[0]
-        for p in (1, 8, 27, 64):  # a paper grid's process counts
-            run_lulesh(cfg, p, threads=t, machine=knl_node())
-        assert (kernel_calls[0] > before) is (t == 1)
-    assert len(PHYSICS_MEMO) == 4
-
-def test_memo_evicts_least_recently_used():
-    memo = PhysicsMemo(maxsize=4)
-    for p in range(10):
-        memo.put(("cfg", p), (p,))
-        assert len(memo) <= 4
-    assert memo.get(("cfg", 5)) is None
-    assert memo.get(("cfg", 6)) == (6,)
-    memo.put(("cfg", 10), (10,))  # evicts 7, the least recently used
-    assert memo.get(("cfg", 7)) is None
-    assert memo.get(("cfg", 6)) == (6,)
+        run_lulesh(cfg, 8, threads=t, machine=knl_node())
+        assert kernel_calls[0] > before
 
 
-def test_memo_concurrent_puts_and_gets():
-    memo = PhysicsMemo(maxsize=4)
-    errors = []
+def test_two_sweeps_on_two_threads_share_no_entry(kernel_calls):
+    """Thread A stores p=8, thread B then runs p=8 and p=1 in its own
+    scope; B computes both, and A's entry is still p=8."""
+    cfg = LuleshConfig(s=2, steps=1)
+    a_stored, b_done = threading.Event(), threading.Event()
+    got = {}
 
-    def worker(w):
+    def computes(p, t):
+        before = kernel_calls[0]
+        run_lulesh(cfg, p, threads=t, machine=knl_node())
+        return kernel_calls[0] > before
+
+    def sweep_a():
+        with physics_scope():
+            got["a1"] = computes(8, 1)
+            a_stored.set()
+            b_done.wait(timeout=60)
+            got["a2"] = computes(8, 2)
+
+    def sweep_b():
+        a_stored.wait(timeout=60)
         try:
-            for i in range(300):
-                key = ("cfg", (w * 7 + i) % 6)
-                memo.put(key, (key[1],) * 3)
-                got = memo.get(key)
-                if got is not None and got != (key[1],) * 3:
-                    errors.append((key, got))
-                if len(memo) > 4:
-                    errors.append(("size", len(memo)))
-        except Exception as exc:  # noqa: BLE001 - reported by the assert
-            errors.append(exc)
+            with physics_scope():
+                got["b"] = [computes(8, 1), computes(8, 2), computes(1, 1)]
+        finally:
+            b_done.set()
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(w,))
-                   for w in range(8)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=30)
-    finally:
-        sys.setswitchinterval(old)
+    threads = [threading.Thread(target=sweep_a),
+               threading.Thread(target=sweep_b)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=120)
     assert not any(th.is_alive() for th in threads)
-    assert not errors
-    assert len(memo) == 4
+    assert got == {"a1": True, "b": [True, False, True], "a2": False}
 
 
 def test_benchmark_run_goes_through_the_driver(kernel_calls):
     cfg = LuleshConfig(s=4, steps=2)
-    run, phys = LuleshBenchmark(cfg).run(8, nthreads=2, machine=knl_node())
-    assert kernel_calls[0] > 0
-    before = kernel_calls[0]
-    plugin_run = registry.get("lulesh").from_config(cfg).run(
-        8, threads=4, machine=knl_node())
-    assert kernel_calls[0] == before
+    with physics_scope():
+        run, phys = LuleshBenchmark(cfg).run(8, nthreads=2,
+                                             machine=knl_node())
+        assert kernel_calls[0] > 0
+        before = kernel_calls[0]
+        plugin_run = registry.get("lulesh").from_config(cfg).run(
+            8, threads=4, machine=knl_node())
+        assert kernel_calls[0] == before
     assert LuleshBenchmark(cfg).collect(plugin_run) == phys
