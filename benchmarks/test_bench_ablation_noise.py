@@ -11,7 +11,7 @@ contribution to the HALO section at scale.
 from repro.core.profile import SectionProfile
 from repro.core.report import format_dict_rows
 from repro.machine.catalog import nehalem_cluster
-from repro.workloads.convolution import ConvolutionBenchmark, ConvolutionConfig
+from repro.workloads.convolution import ConvolutionConfig, ConvolutionWorkload
 
 from benchmarks.conftest import save_artifact
 
@@ -31,7 +31,7 @@ def _halo_total(noise_floor: float, spikes: bool, seed: int = 0) -> float:
             intra_node=replace(mach.intra_node, spike_prob=0.0),
             inter_node=replace(mach.inter_node, spike_prob=0.0),
         )
-    bench = ConvolutionBenchmark(CFG)
+    bench = ConvolutionWorkload.from_config(CFG)
     res = bench.run(P, machine=mach, seed=seed, compute_jitter=0.02,
                     noise_floor=noise_floor)
     return SectionProfile.from_run(res).total("HALO")

@@ -12,7 +12,7 @@ from dataclasses import replace
 from repro.core.profile import SectionProfile
 from repro.core.report import format_dict_rows
 from repro.machine.catalog import nehalem_cluster
-from repro.workloads.convolution import ConvolutionBenchmark, ConvolutionConfig
+from repro.workloads.convolution import ConvolutionConfig, ConvolutionWorkload
 
 from benchmarks.conftest import save_artifact
 
@@ -20,7 +20,7 @@ BASE = ConvolutionConfig(height=288, width=576, steps=50)
 
 
 def _walltime_and_halo(cfg, p, seed=0):
-    res = ConvolutionBenchmark(cfg).run(
+    res = ConvolutionWorkload.from_config(cfg).run(
         p,
         machine=nehalem_cluster(nodes=8, jitter=0.05),
         seed=seed,

@@ -10,8 +10,8 @@ import numpy as np
 from repro.harness import experiments as E
 from repro.machine.catalog import knl_node
 from repro.workloads.lulesh import (
-    LuleshBenchmark,
     LuleshConfig,
+    LuleshWorkload,
     lulesh_strong_scaling_configs,
 )
 
@@ -31,8 +31,9 @@ def test_table7_configurations_run_and_agree(benchmark):
     configs = benchmark(lulesh_strong_scaling_configs)[:2]  # (1, 48), (8, 24)
     fields = []
     for p, s in configs:
-        bench = LuleshBenchmark(LuleshConfig(s=s, steps=3, return_fields=True))
-        _, phys = bench.run(p, machine=knl_node(jitter=0.0))
+        bench = LuleshWorkload.from_config(
+            LuleshConfig(s=s, steps=3, return_fields=True))
+        phys = bench.collect(bench.run(p, machine=knl_node(jitter=0.0)))
         assert phys.energy_drift < 1e-12
         fields.append(phys.energy_field)
     assert fields[0].shape == fields[1].shape == (48, 48, 48)

@@ -18,7 +18,7 @@ from repro.core.analysis import ScalingAnalysis
 from repro.core.profile import ScalingProfile, SectionProfile
 from repro.core.report import format_dict_rows
 from repro.machine import nehalem_cluster
-from repro.workloads.lbm import LBMBenchmark, LBMConfig
+from repro.workloads.lbm import LBMConfig, LBMWorkload
 
 FAST = os.environ.get("REPRO_EXAMPLE_FAST", "") not in ("", "0")
 PHYSICS_STEPS = 50 if FAST else 400
@@ -39,22 +39,22 @@ if __name__ == "__main__":
     machine = nehalem_cluster(nodes=8)
 
     # 1. physics: develop the flow and show the parabolic profile
-    bench = LBMBenchmark(LBMConfig(ny=16, nx=24, steps=PHYSICS_STEPS))
-    _, summary = bench.run(4, machine=machine)
+    bench = LBMWorkload.from_config(LBMConfig(ny=16, nx=24, steps=PHYSICS_STEPS))
+    summary = bench.collect(bench.run(4, machine=machine))
     print("developed channel-flow profile (mean u_x per row):")
     print(ascii_profile(summary["ux_profile"]))
     print(f"\nmass drift over {PHYSICS_STEPS} steps: "
           f"{summary['mass_drift']:.2e} (exact conservation)\n")
 
     # 2. scaling: the convolution study's analysis, unchanged
-    cfg = LBMConfig(**SCALING_CFG)
+    bench = LBMWorkload.from_config(LBMConfig(**SCALING_CFG))
     profile = ScalingProfile("p")
     for p in PROCESS_COUNTS:
-        res, s = LBMBenchmark(cfg).run(
+        res = bench.run(
             p, machine=machine, compute_jitter=0.02, noise_floor=80e-6,
             seed=100 + p,
         )
-        assert s["mass_drift"] < 1e-12
+        assert bench.collect(res)["mass_drift"] < 1e-12
         profile.add(p, SectionProfile.from_run(res))
         print(f"p={p:3d}  walltime={res.walltime*1e3:9.3f} ms  "
               f"msgs={res.network['messages']}")

@@ -67,6 +67,14 @@ def _as_int(value: Any, field: str) -> int:
     return value
 
 
+def _as_key_int(key: Any, field: str) -> int:
+    """An integer ``{p: ...}`` object key (JSON keys arrive as strings)."""
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        raise JobSpecError(f"{field} must be an integer, got {key!r}") from None
+
+
 def _as_number(value: Any, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise JobSpecError(f"{field} must be a number, got {value!r}")
@@ -218,7 +226,7 @@ def _normalise_lulesh(data: Dict[str, Any]) -> Dict[str, Any]:
     for p, ts in grid.items():
         if not isinstance(ts, list) or not ts:
             raise JobSpecError(f"grid[{p}] must be a non-empty thread list")
-        norm_grid[str(_as_int(int(p), "grid key"))] = sorted(
+        norm_grid[str(_as_key_int(p, "grid key"))] = sorted(
             _as_int(t, "grid threads") for t in ts
         )
     sides = data.get("sides")
@@ -227,7 +235,7 @@ def _normalise_lulesh(data: Dict[str, Any]) -> Dict[str, Any]:
         if not isinstance(sides, dict):
             raise JobSpecError("sides must be a {p: side} object")
         norm_sides = {
-            str(_as_int(int(p), "sides key")): _as_int(s, "sides value")
+            str(_as_key_int(p, "sides key")): _as_int(s, "sides value")
             for p, s in sides.items()
         }
     work = {

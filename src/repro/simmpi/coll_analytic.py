@@ -123,8 +123,6 @@ from repro.simmpi.sched import YIELD, Park, ReadyHeap
 #: message-pattern path (results are bit-identical either way).
 ANALYTIC_ENV = "REPRO_COLL_ANALYTIC"
 
-_FALSY = {"0", "false", "no", "off"}
-
 #: A collective program: ``factory(comm, ckey, *args)`` returning a
 #: generator that yields pending Requests and returns the result.
 ProgramFactory = Callable[..., Generator[Request, None, Any]]
@@ -136,18 +134,28 @@ ProgramFactory = Callable[..., Generator[Request, None, Any]]
 _OP_UFUNC = {_sum: np.add, _prod: np.multiply, _min: np.minimum, _max: np.maximum}
 
 
-def analytic_enabled(value: Optional[str] = None) -> bool:
-    """Whether the analytic fast path is on.
+#: The case-insensitive words that switch an :func:`env_flag` off.
+_FALSY = {"0", "false", "no", "off"}
 
-    Reads ``REPRO_COLL_ANALYTIC`` when ``value`` is None; unset or empty
-    means **enabled**, and so does anything but the case-insensitive
-    off words ``0``/``false``/``no``/``off``.
+
+def env_flag(env: str, value: Optional[str] = None) -> bool:
+    """Whether the on-by-default switch ``env`` is on.
+
+    Reads the environment variable ``env`` when ``value`` is None;
+    unset or empty means **enabled**, and so does anything but the
+    case-insensitive off words ``0``/``false``/``no``/``off``.
     """
     if value is None:
-        value = os.environ.get(ANALYTIC_ENV)
+        value = os.environ.get(env)
     if value is None:
         return True
     return value.strip().lower() not in _FALSY
+
+
+def analytic_enabled(value: Optional[str] = None) -> bool:
+    """Whether the analytic fast path is on (``REPRO_COLL_ANALYTIC``,
+    read by :func:`env_flag`)."""
+    return env_flag(ANALYTIC_ENV, value)
 
 
 def g_dispatch(comm, kind: str, ckey: tuple, factory: ProgramFactory,

@@ -77,12 +77,12 @@ fires at the fabric's poll.  ``REPRO_MACROSTEP``
 
 from __future__ import annotations
 
-import os
 from typing import Any, List, Optional
 
 import numpy as np
 
 from repro.simmpi.api import ANY_SOURCE, ANY_TAG, PROC_NULL
+from repro.simmpi.coll_analytic import env_flag
 from repro.simmpi.comm import Communicator
 from repro.simmpi.datatypes import payload_nbytes
 from repro.simmpi.request import Request
@@ -91,8 +91,6 @@ from repro.simmpi.request import Request
 #: ``false`` / ``no`` / ``off`` keeps every round on the interpreter
 #: (results are bit-identical either way).
 MACROSTEP_ENV = "REPRO_MACROSTEP"
-
-_FALSY = {"0", "false", "no", "off"}
 
 #: Token budget before an aperiodic rank gives up observing.
 _MAX_TOKENS = 4096
@@ -109,16 +107,9 @@ _BOUND_NAMES = (
 
 
 def macrostep_enabled(value: Optional[str] = None) -> bool:
-    """Whether steady-state capture & replay is on.
-
-    Reads ``REPRO_MACROSTEP`` when ``value`` is None; unset or empty
-    means **enabled**.  Matching is case-insensitive.
-    """
-    if value is None:
-        value = os.environ.get(MACROSTEP_ENV)
-    if value is None:
-        return True
-    return value.strip().lower() not in _FALSY
+    """Whether steady-state capture & replay is on (``REPRO_MACROSTEP``,
+    read by :func:`~repro.simmpi.coll_analytic.env_flag`)."""
+    return env_flag(MACROSTEP_ENV, value)
 
 
 def eligible(engine) -> bool:

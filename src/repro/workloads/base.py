@@ -22,6 +22,11 @@ service and the docs need to know about a workload *declaratively*:
 * :meth:`WorkloadPlugin.main` — the per-rank generator program (the
   ``g_*`` communicator API), runnable bit-identically on the
   thread-free and threaded engines;
+* :meth:`WorkloadPlugin.run` — the one driver: the base drives
+  :meth:`~WorkloadPlugin.main` through
+  :func:`~repro.simmpi.engine.run_mpi`, and a program that needs
+  staged arguments (convolution's storage, LULESH's thread count and
+  placement) overrides it with the same signature;
 * :meth:`WorkloadPlugin.check` — a post-run validity invariant that
   fails loudly (:class:`~repro.errors.WorkloadValidityError`) when a
   run produced corrupt results.
@@ -97,11 +102,12 @@ def params_from_config(
 ) -> Dict[str, Param]:
     """Derive a :class:`Param` schema from a config dataclass.
 
-    The reference plugins wrap the existing ``*Config`` dataclasses;
-    this keeps their schema and the dataclass fields from drifting
-    apart.  Only int/float/bool/str fields with defaults are supported;
-    fields in ``exclude`` (non-JSON knobs like nested dataclasses) are
-    left out of the declarative surface.
+    The paper workloads read ``*Config`` dataclasses (their
+    :attr:`~WorkloadPlugin.CONFIG`); this keeps their schema and the
+    dataclass fields from drifting apart.  Only int/float/bool/str
+    fields with defaults are supported; fields in ``exclude`` (non-JSON
+    knobs like nested dataclasses) are left out of the declarative
+    surface.
     """
     docs = docs or {}
     out: Dict[str, Param] = {}
@@ -110,8 +116,8 @@ def params_from_config(
             continue
         if f.default is dataclasses.MISSING:
             raise WorkloadError(
-                f"{cfg_cls.__name__}.{f.name} has no default; reference "
-                "plugin schemas need fully defaulted configs"
+                f"{cfg_cls.__name__}.{f.name} has no default; plugin "
+                "schemas need fully defaulted configs"
             )
         kind = type(f.default)
         if kind not in (int, float, bool, str):
@@ -151,6 +157,9 @@ class WorkloadPlugin:
     COMM_PATTERN: str = ""
     #: Typed parameter schema; defaults define the canonical params.
     PARAMS: Dict[str, Param] = {}
+    #: Config dataclass the program reads (:meth:`to_config`), for
+    #: plugins whose schema mirrors one; None for the others.
+    CONFIG: Optional[type] = None
 
     def __init__(self, params: Optional[Dict[str, Any]] = None):
         """Instantiate with ``params`` validated against :attr:`PARAMS`."""
@@ -218,18 +227,27 @@ class WorkloadPlugin:
 
     @classmethod
     def from_config(cls, config) -> "WorkloadPlugin":
-        """Build a plugin instance from a legacy config dataclass whose
-        field names mirror :attr:`PARAMS` (the reference plugins).
+        """Build a plugin instance from a config dataclass whose field
+        names mirror :attr:`PARAMS` (the paper workloads).
 
         The original config object is kept on the instance so
         non-declarative knobs (fields outside :attr:`PARAMS`, e.g.
-        Lulesh's ``omp_params``) survive the hand-wired harness path.
+        Lulesh's ``omp_params``) survive the harness path.
         """
         inst = cls(params={
             name: getattr(config, name) for name in cls.PARAMS
         })
         inst._config = config
         return inst
+
+    def to_config(self):
+        """The :attr:`CONFIG` dataclass this instance runs: the one
+        :meth:`from_config` was given (with knobs outside
+        :attr:`PARAMS`, e.g. Lulesh's ``omp_params``), else one built
+        from :attr:`params`."""
+        if self._config is None:
+            self._config = self.CONFIG(**self.params)
+        return self._config
 
     # -- execution ------------------------------------------------------------
 

@@ -47,18 +47,20 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import ReproError, WorkloadValidityError
 from repro.machine.roofline import WorkEstimate
 from repro.machine.spec import MachineSpec
 from repro.simmpi.engine import RunResult, run_mpi
 from repro.simmpi.mio import ModeledStorage
 from repro.simmpi.sections_rt import section
+from repro.workloads.base import WorkloadPlugin, params_from_config
 from repro.workloads.images import make_image
 from repro.workloads.physics_scope import recall, remember
+from repro.workloads.registry import register
 from repro.workloads.stencil import (
     conv_work_per_value,
     g_exchange_row_halos,
@@ -136,14 +138,29 @@ class ConvolutionConfig:
         return self.values * 8
 
 
-class ConvolutionBenchmark:
-    """Runs the instrumented convolution pipeline on the simulator."""
+@register
+class ConvolutionWorkload(WorkloadPlugin):
+    """The paper's Section 5.1 image-convolution pipeline."""
+
+    NAME = "convolution"
+    DOMAIN = "paper"
+    SECTIONS = SECTIONS
+    KEY_SECTIONS = ("HALO",)
+    COMM_SECTIONS = ("SCATTER", "HALO", "GATHER")
+    COMM_PATTERN = "halo-1d"
+    CONFIG = ConvolutionConfig
+    PARAMS = params_from_config(ConvolutionConfig, docs={
+        "height": "image height in pixels",
+        "width": "image width in pixels",
+        "channels": "colour channels",
+        "steps": "filter applications",
+        "image_seed": "synthetic input image seed",
+        "codec_flops_per_byte": "modeled decode/encode cost",
+        "overlap_halo": "overlap halo exchange with interior compute",
+    })
 
     INPUT_KEY = "input.img"
     OUTPUT_KEY = "output.img"
-
-    def __init__(self, config: Optional[ConvolutionConfig] = None):
-        self.config = config if config is not None else ConvolutionConfig()
 
     # -- per-rank program -----------------------------------------------------------
 
@@ -157,11 +174,12 @@ class ConvolutionBenchmark:
         final image on rank 0 (None elsewhere) so callers can verify
         correctness.
 
-        ``memo`` is this config's filtered image (see :meth:`run`);
-        given one, the rank runs the timing skeleton when the engine
-        admits fast paths.
+        :meth:`run` stages the arguments: ``storage`` holds the input
+        image, and ``memo`` is this config's filtered image; given one,
+        the rank runs the timing skeleton when the engine admits fast
+        paths.
         """
-        cfg = self.config
+        cfg = self.to_config()
         comm = ctx.comm
         p, rank = comm.size, comm.rank
         flops_v, bytes_v = conv_work_per_value()
@@ -294,39 +312,40 @@ class ConvolutionBenchmark:
 
     def run(
         self,
-        n_ranks: int,
+        p: int,
+        *,
+        threads: int = 1,
         machine: Optional[MachineSpec] = None,
         ranks_per_node: Optional[int] = None,
         seed: int = 0,
-        compute_jitter: float = 0.015,
+        compute_jitter: float = 0.0,
         noise_floor: float = 0.0,
-        tools=(),
         faults=None,
         wall_timeout: Optional[float] = None,
         engine: Optional[str] = None,
         macrostep: Optional[bool] = None,
+        tools=(),
     ) -> RunResult:
-        """Execute the benchmark at ``n_ranks`` on ``machine``.
+        """Execute the pipeline at ``p`` ranks (``threads`` is ignored).
 
         The input image is placed into modeled storage before the clock
         starts (the paper's image pre-exists on the file system); see
         :func:`input_image`.
-        ``engine`` picks the execution substrate (thread-free by
-        default); simulated results are engine-independent.
 
         Inside a sweep's physics scope the config's stored image, if
         any, goes to every rank (the skeleton, module docstring), and a
         run without one stores a read-only copy of its image once
         ``run_mpi`` has returned.
         """
-        cfg = self.config
+        del threads
+        cfg = self.to_config()
         storage = ModeledStorage()
         storage._data[self.INPUT_KEY] = input_image(
             cfg.height, cfg.width, cfg.channels, cfg.image_seed
         )
         memo = recall(cfg)
         run = run_mpi(
-            n_ranks,
+            p,
             self.main,
             machine=machine,
             ranks_per_node=ranks_per_node,
@@ -343,6 +362,28 @@ class ConvolutionBenchmark:
         if memo is None:
             remember(cfg, lambda: _read_only_copy(run.results[0]))
         return run
+
+    # -- post-run ----------------------------------------------------------------------
+
+    def check(self, result: RunResult) -> None:
+        """Rank 0 must return a finite image of the configured shape."""
+        out = result.results[0]
+        cfg = self.to_config()
+        want = (cfg.height, cfg.width, cfg.channels)
+        if not isinstance(out, np.ndarray) or out.shape != want:
+            raise WorkloadValidityError(
+                f"{self.NAME}: rank 0 returned {type(out).__name__} "
+                f"instead of a {want} image"
+            )
+        if not np.isfinite(out).all():
+            raise WorkloadValidityError(
+                f"{self.NAME}: output image contains non-finite values"
+            )
+
+    def metrics(self, result: RunResult) -> Dict[str, float]:
+        """Mean output intensity (a cheap whole-image fingerprint)."""
+        out = result.results[0]
+        return {"output_mean": float(out.mean())}
 
 
 def _read_only_copy(image: np.ndarray) -> np.ndarray:

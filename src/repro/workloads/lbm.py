@@ -23,17 +23,19 @@ Sections: ``INIT``, then per step ``COLLIDE`` (compute-bound, local),
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import ReproError, WorkloadValidityError
 from repro.machine.roofline import WorkEstimate
-from repro.machine.spec import MachineSpec
 from repro.simmpi.api import PROC_NULL
-from repro.simmpi.engine import RunResult, run_mpi
+from repro.simmpi.engine import RunResult
 from repro.simmpi.sections_rt import section
+from repro.workloads.base import WorkloadPlugin, params_from_config
+from repro.workloads.registry import register
 from repro.workloads.stencil import row_partition
 
 #: D2Q9 lattice velocities (ey, ex) and weights; index 0 is the rest
@@ -97,11 +99,25 @@ def moments(f: np.ndarray) -> tuple:
     return rho, ux, uy
 
 
-class LBMBenchmark:
-    """Runs the instrumented LBM channel flow on the simulator."""
+@register
+class LBMWorkload(WorkloadPlugin):
+    """D2Q9 lattice-Boltzmann channel flow (the proximity workload)."""
 
-    def __init__(self, config: Optional[LBMConfig] = None):
-        self.config = config if config is not None else LBMConfig()
+    NAME = "lbm"
+    DOMAIN = "paper"
+    SECTIONS = ("INIT", "COLLIDE", "HALO", "STREAM", "MACRO")
+    KEY_SECTIONS = ("HALO",)
+    COMM_SECTIONS = ("HALO",)
+    COMM_PATTERN = "halo-1d"
+    CONFIG = LBMConfig
+    PARAMS = params_from_config(LBMConfig, docs={
+        "ny": "lattice rows",
+        "nx": "lattice columns",
+        "steps": "LBM time steps",
+        "tau": "BGK relaxation time (> 0.5)",
+        "force": "body acceleration along x",
+        "rho0": "initial density",
+    })
 
     # -- pieces ------------------------------------------------------------------
 
@@ -167,7 +183,7 @@ class LBMBenchmark:
     def main(self, ctx):
         """The MPI program each rank executes (a generator rank body;
         returns local summaries)."""
-        cfg = self.config
+        cfg = self.to_config()
         comm = ctx.comm
         counts = row_partition(cfg.ny, comm.size)
         ny_local = counts[comm.rank]
@@ -208,40 +224,37 @@ class LBMBenchmark:
             "f": f,
         }
 
-    # -- driver ------------------------------------------------------------------------
+    # -- post-run -------------------------------------------------------------------
 
-    def run(
-        self,
-        n_ranks: int,
-        machine: Optional[MachineSpec] = None,
-        seed: int = 0,
-        compute_jitter: float = 0.0,
-        noise_floor: float = 0.0,
-        tools=(),
-        engine: Optional[str] = None,
-    ) -> tuple:
-        """Run and assemble; returns (RunResult, summary dict)."""
-        res = run_mpi(
-            n_ranks,
-            self.main,
-            machine=machine,
-            seed=seed,
-            compute_jitter=compute_jitter,
-            noise_floor=noise_floor,
-            tools=tools,
-            engine=engine,
-        )
-        parts = res.results
+    def collect(self, result: RunResult) -> dict:
+        """Assemble the global summary from per-rank returns: total and
+        initial mass, their relative drift, x momentum, the per-row mean
+        x velocity profile and the distribution field (9, ny, nx)."""
+        parts = result.results
         mass = sum(r["mass"] for r in parts)
         initial = sum(r["initial_mass"] for r in parts)
-        profile = np.concatenate([r["ux_profile"] for r in parts])
-        field = np.concatenate([r["f"] for r in parts], axis=1)
-        summary = {
+        return {
             "mass": mass,
             "initial_mass": initial,
             "mass_drift": abs(mass - initial) / initial,
             "momentum_x": sum(r["momentum_x"] for r in parts),
-            "ux_profile": profile,
-            "f": field,
+            "ux_profile": np.concatenate([r["ux_profile"] for r in parts]),
+            "f": np.concatenate([r["f"] for r in parts], axis=1),
         }
-        return res, summary
+
+    def _mass_drift(self, result: RunResult) -> float:
+        mass = sum(r["mass"] for r in result.results)
+        initial = sum(r["initial_mass"] for r in result.results)
+        return abs(mass - initial) / initial
+
+    def check(self, result: RunResult) -> None:
+        """Total lattice mass must be conserved to 1e-9 relative."""
+        drift = self._mass_drift(result)
+        if not (math.isfinite(drift) and drift < 1e-9):
+            raise WorkloadValidityError(
+                f"{self.NAME}: mass not conserved (relative drift {drift!r})"
+            )
+
+    def metrics(self, result: RunResult) -> Dict[str, float]:
+        """Relative mass drift (should sit at rounding level)."""
+        return {"mass_drift": float(self._mass_drift(result))}

@@ -43,8 +43,8 @@ charges its modeled region time whatever its body does, the ghost
 planes and the ``CommDt`` operand have fixed sizes, and ``dt`` feeds
 only the kernels.  The physics itself depends on neither the thread
 count (the kernels split into the same elementwise slabs) nor the seed
-(the initial state takes none).  So :func:`run_lulesh`, the one driver,
-keeps the physics in the sweep's scope
+(the initial state takes none).  So :meth:`LuleshWorkload.run`, the one
+driver, keeps the physics in the sweep's scope
 (:mod:`repro.workloads.physics_scope`) keyed on ``(LuleshConfig, p)`` —
 the frozen config as it is; machine, threads, seed, jitter and
 timing-only faults stay out of the key.  The scope lasts one sweep and
@@ -74,12 +74,13 @@ run outside any sweep computes too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import ReproError, WorkloadError, WorkloadValidityError
 from repro.machine.spec import MachineSpec
 from repro.omp import OMPParams, OpenMP
 from repro.simmpi.api import PROC_NULL
@@ -88,7 +89,9 @@ from repro.simmpi.reduce_ops import MAX
 from repro.simmpi.sections_rt import section
 from repro.simmpi.topology import CartGrid
 from repro.workloads import lulesh_phases as ph
+from repro.workloads.base import WorkloadPlugin, params_from_config
 from repro.workloads.physics_scope import recall, remember
+from repro.workloads.registry import register
 
 #: The paper's element-count invariant: all strong-scaling configurations
 #: hold the global problem at 110 592 elements (Figure 7).
@@ -189,11 +192,59 @@ class LuleshResult:
         return abs(self.total_energy - self.initial_energy) / self.initial_energy
 
 
-class LuleshBenchmark:
-    """Runs the instrumented LULESH proxy on the simulator."""
+#: Lulesh section labels in traversal order (the paper's 21 sections).
+SECTIONS = (
+    "timeloop",
+    "LagrangeNodal",
+    "CommSBN",
+    "CalcForceForNodes",
+    "IntegrateStressForElems",
+    "CalcHourglassControlForElems",
+    "CalcAccelerationForNodes",
+    "ApplyAccelerationBC",
+    "CalcVelocityForNodes",
+    "CalcPositionForNodes",
+    "LagrangeElements",
+    "CalcLagrangeElements",
+    "CalcQForElems",
+    "CommMonoQ",
+    "CalcKinematicsForElems",
+    "ApplyMaterialPropertiesForElems",
+    "EvalEOSForElems",
+    "CommEnergy",
+    "UpdateVolumesForElems",
+    "CalcTimeConstraintsForElems",
+    "CommDt",
+)
 
-    def __init__(self, config: Optional[LuleshConfig] = None):
-        self.config = config if config is not None else LuleshConfig()
+
+@register
+class LuleshWorkload(WorkloadPlugin):
+    """The LULESH-like Lagrangian hydro proxy (paper Section 5.2)."""
+
+    NAME = "lulesh"
+    DOMAIN = "paper"
+    SECTIONS = SECTIONS
+    KEY_SECTIONS = ("LagrangeNodal", "LagrangeElements")
+    COMM_SECTIONS = ("CommSBN", "CommMonoQ", "CommEnergy", "CommDt")
+    COMM_PATTERN = "halo-3d"
+    CONFIG = LuleshConfig
+    PARAMS = params_from_config(LuleshConfig, exclude=("omp_params",), docs={
+        "s": "per-rank cube side length (LULESH -s)",
+        "steps": "Lagrange time steps",
+        "work_scale": "virtual per-element work multiplier",
+        "eos_iters": "EOS Newton iterations",
+    })
+
+    @classmethod
+    def check_scale(cls, p: int, params: Dict[str, Any]) -> None:
+        """LULESH decomposes a cube: only cube process counts run."""
+        super().check_scale(p, params)
+        side = round(p ** (1.0 / 3.0))
+        if side**3 != p:
+            raise WorkloadError(
+                f"{cls.NAME}: needs a cube of processes, got p={p}"
+            )
 
     # -- halo exchange -------------------------------------------------------------
 
@@ -243,15 +294,16 @@ class LuleshBenchmark:
 
     # -- per-rank program ---------------------------------------------------------------
 
-    def main(self, ctx, nthreads: int,
+    def main(self, ctx, threads: int,
              memo: Optional[Tuple[RankPhysics, ...]] = None):
         """The MPI+OpenMP program each rank executes (a generator rank
         body; communication goes through the ``g_*`` API).
 
-        ``memo`` is this config's stored per-rank physics at this
-        process count (see :func:`run_lulesh`); given one, the rank runs
-        the timing skeleton when the engine admits fast paths."""
-        cfg = self.config
+        :meth:`run` stages the arguments: ``threads`` is the OpenMP
+        team size, and ``memo`` is this config's stored per-rank physics
+        at this process count; given one, the rank runs the timing
+        skeleton when the engine admits fast paths."""
+        cfg = self.to_config()
         comm = ctx.comm
         grid = CartGrid.cube(comm.size)
         coords = grid.coords(comm.rank)
@@ -265,7 +317,7 @@ class LuleshBenchmark:
             # Stands in for every exchanged field: same ghost planes on
             # the wire, no field data.
             ghost = np.zeros((s + 2, s + 2, s + 2), dtype=np.float64)
-        omp = OpenMP(ctx, nthreads, params=cfg.omp_params)
+        omp = OpenMP(ctx, threads, params=cfg.omp_params)
         nelem = s**3
         W = cfg.work_scale
 
@@ -397,45 +449,60 @@ class LuleshBenchmark:
 
     def run(
         self,
-        n_ranks: int,
-        nthreads: int = 1,
+        p: int,
+        *,
+        threads: int = 1,
         machine: Optional[MachineSpec] = None,
+        ranks_per_node: Optional[int] = None,
         seed: int = 0,
         compute_jitter: float = 0.0,
-        tools=(),
+        noise_floor: float = 0.0,
         faults=None,
         wall_timeout: Optional[float] = None,
         engine: Optional[str] = None,
-    ) -> Tuple[RunResult, LuleshResult]:
-        """Run at (n_ranks, nthreads) through :func:`run_lulesh`; all
-        ranks share one node.
+        macrostep: Optional[bool] = None,
+        tools=(),
+    ) -> RunResult:
+        """Run the proxy at ``(p, threads)``; all ranks share one node
+        unless ``ranks_per_node`` says otherwise.
 
-        Returns the engine result plus the assembled physics result.
-        ``engine`` picks the execution substrate (thread-free default).
+        It reads the sweep's physics scope, hands the entry (if any) to
+        every rank, which then runs the timing skeleton where the engine
+        admits it (module docstring), and stores the physics of a run
+        that computed once ``run_mpi`` has returned.
         """
-        run = run_lulesh(
-            self.config,
-            n_ranks,
-            threads=nthreads,
+        key = (self.to_config(), p)
+        memo = recall(key)
+        run = run_mpi(
+            p,
+            self.main,
             machine=machine,
+            ranks_per_node=p if ranks_per_node is None else ranks_per_node,
             seed=seed,
             compute_jitter=compute_jitter,
+            noise_floor=noise_floor,
             tools=tools,
             faults=faults,
             wall_timeout=wall_timeout,
             engine=engine,
+            macrostep=macrostep,
+            args=(threads, memo),
         )
-        return run, self.collect(run)
+        if memo is None:
+            remember(key, lambda: tuple(_stored(r) for r in run.results))
+        return run
 
-    def collect(self, run: RunResult) -> LuleshResult:
+    # -- post-run -----------------------------------------------------------------------------
+
+    def collect(self, result: RunResult) -> LuleshResult:
         """Assemble the global physics result from per-rank returns."""
-        cfg = self.config
-        parts = run.results
+        cfg = self.to_config()
+        parts = result.results
         total = sum(r["energy"] for r in parts)
         initial = sum(r["initial_energy"] for r in parts)
         field = None
         if cfg.return_fields:
-            side = round(run.n_ranks ** (1.0 / 3.0))
+            side = round(result.n_ranks ** (1.0 / 3.0))
             big = side * cfg.s
             field = np.empty((big, big, big), dtype=np.float64)
             for r in parts:
@@ -452,48 +519,25 @@ class LuleshBenchmark:
             energy_field=field,
         )
 
+    def check(self, result: RunResult) -> None:
+        """Energies and the final dt must be finite and positive."""
+        phys = self.collect(result)
+        if not (math.isfinite(phys.total_energy)
+                and math.isfinite(phys.initial_energy)
+                and phys.initial_energy > 0.0):
+            raise WorkloadValidityError(
+                f"{self.NAME}: non-finite or non-positive energies "
+                f"(E0={phys.initial_energy!r}, E={phys.total_energy!r})"
+            )
+        if not (math.isfinite(phys.final_dt) and phys.final_dt > 0.0):
+            raise WorkloadValidityError(
+                f"{self.NAME}: invalid final dt {phys.final_dt!r}"
+            )
 
-def run_lulesh(
-    config: LuleshConfig,
-    p: int,
-    *,
-    threads: int = 1,
-    machine: Optional[MachineSpec] = None,
-    ranks_per_node: Optional[int] = None,
-    seed: int = 0,
-    compute_jitter: float = 0.0,
-    noise_floor: float = 0.0,
-    tools=(),
-    faults=None,
-    wall_timeout: Optional[float] = None,
-    engine: Optional[str] = None,
-    macrostep: Optional[bool] = None,
-) -> RunResult:
-    """Run the proxy at ``(p, threads)``; all ranks share one node
-    unless ``ranks_per_node`` says otherwise.
-
-    The one LULESH driver: it reads the sweep's physics scope, hands the
-    entry (if any) to every rank, which then runs the timing skeleton
-    where the engine admits it (module docstring), and stores the
-    physics of a run that computed once ``run_mpi`` has returned.
-    """
-    key = (config, p)
-    memo = recall(key)
-    run = run_mpi(
-        p,
-        LuleshBenchmark(config).main,
-        machine=machine,
-        ranks_per_node=p if ranks_per_node is None else ranks_per_node,
-        seed=seed,
-        compute_jitter=compute_jitter,
-        noise_floor=noise_floor,
-        tools=tools,
-        faults=faults,
-        wall_timeout=wall_timeout,
-        engine=engine,
-        macrostep=macrostep,
-        args=(threads, memo),
-    )
-    if memo is None:
-        remember(key, lambda: tuple(_stored(r) for r in run.results))
-    return run
+    def metrics(self, result: RunResult) -> Dict[str, float]:
+        """Energy drift and final dt (the paper's physics gauges)."""
+        phys = self.collect(result)
+        return {
+            "energy_drift": float(phys.energy_drift),
+            "final_dt": float(phys.final_dt),
+        }

@@ -3,9 +3,10 @@
 Three ways a plugin lands in the registry (benchbuild's project-registry
 idiom, adapted):
 
-* **built-ins** — the reference plugins (:mod:`repro.workloads.reference`)
-  and the communication-shape zoo (:mod:`repro.workloads.zoo`) register
-  on first lookup, so ``get``/``names`` always see them;
+* **built-ins** — the paper workloads (:mod:`~repro.workloads.convolution`,
+  :mod:`~repro.workloads.lulesh`, :mod:`~repro.workloads.lbm`) and the
+  communication-shape zoo (:mod:`repro.workloads.zoo`) register on
+  first lookup, so ``get``/``names`` always see them;
 * **entry points** — packages installed with a ``repro.workloads`` entry
   point group have each entry loaded (the entry value must resolve to a
   :class:`~repro.workloads.base.WorkloadPlugin` subclass or to a module
@@ -83,8 +84,8 @@ def register(cls: Type[WorkloadPlugin]) -> Type[WorkloadPlugin]:
 
 def _ensure_builtins() -> None:
     """Import the modules whose decorators register the built-ins."""
-    importlib.import_module("repro.workloads.reference")
-    importlib.import_module("repro.workloads.zoo")
+    for module in ("convolution", "lulesh", "lbm", "zoo"):
+        importlib.import_module(f"repro.workloads.{module}")
 
 
 def _import_plugin_file(path: pathlib.Path, strict: bool) -> None:

@@ -8,7 +8,7 @@ from repro.core.metrics import SectionInstanceTiming
 from repro.errors import InsufficientDataError
 from repro.machine.catalog import nehalem_cluster
 from repro.tools import TraceTool
-from repro.workloads.convolution import ConvolutionBenchmark, ConvolutionConfig
+from repro.workloads.convolution import ConvolutionConfig, ConvolutionWorkload
 
 
 def _inst(occ, t_ins, dur=1.0, label="s"):
@@ -66,7 +66,8 @@ def test_on_real_convolution_halo():
     floor, the HALO section's entry stagger is persistent across the
     time-step loop (jitter the shrunken compute can no longer hide)."""
     tool = TraceTool(label_filter=lambda lab: lab == "HALO")
-    bench = ConvolutionBenchmark(ConvolutionConfig(height=64, width=96, steps=40))
+    bench = ConvolutionWorkload.from_config(
+        ConvolutionConfig(height=64, width=96, steps=40))
     bench.run(
         8,
         machine=nehalem_cluster(nodes=1, jitter=0.05),

@@ -18,7 +18,7 @@ from repro.harness.runner import run_convolution_sweep
 from repro.harness.sweeps import ConvolutionSweep
 from repro.machine.catalog import nehalem_cluster
 from repro.tools.trace import TraceTool
-from repro.workloads.convolution import ConvolutionBenchmark, ConvolutionConfig
+from repro.workloads.convolution import ConvolutionConfig, ConvolutionWorkload
 
 STRAGGLER = FaultPlan((StragglerRank(rank=0, factor=2.0),))
 
@@ -80,10 +80,11 @@ def test_straggler_inflates_halo_wait_at_small_p(clean, straggled):
 
 def _traced_run(faults):
     tool = TraceTool(label_filter=lambda lab: lab == "HALO")
-    bench = ConvolutionBenchmark(ConvolutionConfig(height=96, width=128,
-                                                   steps=25))
+    bench = ConvolutionWorkload.from_config(
+        ConvolutionConfig(height=96, width=128, steps=25))
     res = bench.run(4, machine=nehalem_cluster(nodes=1, jitter=0.05),
-                    seed=3, tools=(tool,), faults=faults)
+                    seed=3, compute_jitter=0.015, tools=(tool,),
+                    faults=faults)
     return analyze_jitter(tool.coarse_view()), SectionProfile.from_run(res)
 
 

@@ -13,19 +13,19 @@ import pytest
 from repro.core.profile import SectionProfile
 from repro.machine.catalog import knl_node, nehalem_cluster
 from repro.workloads.convolution import (
-    ConvolutionBenchmark,
     ConvolutionConfig,
+    ConvolutionWorkload,
     sequential_convolution,
 )
 from repro.workloads.images import image_checksum, make_image
-from repro.workloads.lulesh import LuleshBenchmark, LuleshConfig
+from repro.workloads.lulesh import LuleshConfig, LuleshWorkload
 
 pytestmark = pytest.mark.slow
 
 
 def test_456_ranks_convolution_correct_and_comm_dominated():
     cfg = ConvolutionConfig(height=576, width=864, steps=25)
-    bench = ConvolutionBenchmark(cfg)
+    bench = ConvolutionWorkload.from_config(cfg)
     res = bench.run(
         456,
         machine=nehalem_cluster(nodes=57),
@@ -44,8 +44,10 @@ def test_456_ranks_convolution_correct_and_comm_dominated():
 
 
 def test_full_lulesh_mesh_at_64_ranks():
-    bench = LuleshBenchmark(LuleshConfig(s=12, steps=5, return_fields=False))
-    run, phys = bench.run(64, nthreads=4, machine=knl_node())
+    bench = LuleshWorkload.from_config(
+        LuleshConfig(s=12, steps=5, return_fields=False))
+    run = bench.run(64, threads=4, machine=knl_node())
+    phys = bench.collect(run)
     assert phys.energy_drift < 1e-12
     assert run.n_ranks == 64
     prof = SectionProfile.from_run(run)

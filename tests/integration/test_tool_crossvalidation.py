@@ -12,7 +12,7 @@ from repro.core.profile import SectionProfile
 from repro.core.sections import build_instances
 from repro.machine.catalog import nehalem_cluster
 from repro.tools import SectionProfilerTool, TraceTool
-from repro.workloads.convolution import ConvolutionBenchmark, ConvolutionConfig
+from repro.workloads.convolution import ConvolutionConfig, ConvolutionWorkload
 
 from tests.conftest import mpi
 
@@ -21,11 +21,12 @@ from tests.conftest import mpi
 def observed():
     profiler = SectionProfilerTool()
     tracer = TraceTool()
-    bench = ConvolutionBenchmark(ConvolutionConfig.tiny(steps=3))
+    bench = ConvolutionWorkload.from_config(ConvolutionConfig.tiny(steps=3))
     res = bench.run(
         4,
         machine=nehalem_cluster(nodes=1, jitter=0.02),
         seed=11,
+        compute_jitter=0.015,
         tools=[profiler, tracer],
     )
     return res, profiler, tracer
@@ -63,9 +64,9 @@ def test_walltime_equals_main_section_span(observed):
 
 def test_run_with_tools_matches_run_without():
     """Observation is free: attaching tools must not change virtual time."""
-    bench = ConvolutionBenchmark(ConvolutionConfig.tiny(steps=3))
+    bench = ConvolutionWorkload.from_config(ConvolutionConfig.tiny(steps=3))
     mach = nehalem_cluster(nodes=1)
-    bare = bench.run(2, machine=mach, seed=5)
-    tooled = bench.run(2, machine=mach, seed=5,
+    bare = bench.run(2, machine=mach, seed=5, compute_jitter=0.015)
+    tooled = bench.run(2, machine=mach, seed=5, compute_jitter=0.015,
                        tools=[SectionProfilerTool(), TraceTool()])
     assert bare.clocks == tooled.clocks

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from repro.machine.catalog import knl_node, nehalem_cluster
 from repro.workloads.convolution import (
-    ConvolutionBenchmark,
     ConvolutionConfig,
+    ConvolutionWorkload,
     sequential_convolution,
 )
 from repro.workloads.images import make_image
-from repro.workloads.lbm import LBMBenchmark, LBMConfig
-from repro.workloads.lulesh import LuleshBenchmark, LuleshConfig
+from repro.workloads.lbm import LBMConfig, LBMWorkload
+from repro.workloads.lulesh import LuleshConfig, LuleshWorkload
 
 SMALL = dict(max_examples=6, deadline=None)
 
@@ -32,8 +32,8 @@ def test_convolution_equals_sequential_for_any_config(h, w, steps, p, seed):
     ref = sequential_convolution(
         make_image(h, w, cfg.channels, seed=seed), steps
     )
-    res = ConvolutionBenchmark(cfg).run(
-        p, machine=nehalem_cluster(nodes=1, jitter=0.0)
+    res = ConvolutionWorkload.from_config(cfg).run(
+        p, machine=nehalem_cluster(nodes=1, jitter=0.0), compute_jitter=0.015
     )
     assert np.array_equal(res.rank_result(0), ref)
 
@@ -46,12 +46,10 @@ def test_convolution_equals_sequential_for_any_config(h, w, steps, p, seed):
 @settings(**SMALL)
 def test_lulesh_invariance_and_conservation_random_configs(s8, steps, spike):
     common = dict(steps=steps, spike=spike, return_fields=True)
-    r1 = LuleshBenchmark(LuleshConfig(s=2 * s8, **common)).run(
-        1, machine=knl_node(jitter=0.0)
-    )[1]
-    r8 = LuleshBenchmark(LuleshConfig(s=s8, **common)).run(
-        8, machine=knl_node(jitter=0.0)
-    )[1]
+    b1 = LuleshWorkload.from_config(LuleshConfig(s=2 * s8, **common))
+    r1 = b1.collect(b1.run(1, machine=knl_node(jitter=0.0)))
+    b8 = LuleshWorkload.from_config(LuleshConfig(s=s8, **common))
+    r8 = b8.collect(b8.run(8, machine=knl_node(jitter=0.0)))
     assert np.array_equal(r1.energy_field, r8.energy_field)
     assert r1.energy_drift < 1e-12
     assert r8.energy_drift < 1e-12
@@ -69,8 +67,8 @@ def test_lbm_mass_conserved_for_any_config(ny, nx, steps, tau, p):
     if ny < p:
         p = ny
     cfg = LBMConfig(ny=ny, nx=nx, steps=steps, tau=tau)
-    _, summary = LBMBenchmark(cfg).run(
-        p, machine=nehalem_cluster(nodes=1, jitter=0.0)
-    )
+    bench = LBMWorkload.from_config(cfg)
+    summary = bench.collect(
+        bench.run(p, machine=nehalem_cluster(nodes=1, jitter=0.0)))
     assert summary["mass_drift"] < 1e-12
     assert np.isfinite(summary["f"]).all()

@@ -39,6 +39,14 @@ def test_submit_bad_spec_400(idle_app):
     assert idle_app.metrics.counter("jobs_rejected") == 1
 
 
+def test_submit_non_integer_lulesh_grid_key_400(idle_app):
+    resp = _post(idle_app, {"kind": "lulesh", "workload": {"s": 4, "steps": 1},
+                            "grid": {"x": [1]}})
+    assert resp[0] == 400
+    assert "grid key must be an integer" in _body(resp)["error"]
+    assert idle_app.metrics.counter("jobs_rejected") == 1
+
+
 def test_submit_queues_job(idle_app):
     resp = _post(idle_app, tiny_conv_spec())
     assert resp[0] == 202

@@ -74,6 +74,18 @@ def test_bad_lulesh_grid_rejected():
         parse_job_spec(tiny_lulesh_spec(grid={"3": [1]}))  # not a cube
 
 
+@pytest.mark.parametrize("mutant", [
+    {"grid": {"x": [1]}},
+    {"grid": {"1": [1, 2], "eight": [1]}},
+    {"sides": {"1": 6, "x": 3}},
+])
+def test_non_integer_lulesh_keys_rejected(mutant):
+    """A grid or sides key that is not an integer is a spec error, not
+    a bare ValueError from parsing the key."""
+    with pytest.raises(JobSpecError, match="key must be an integer"):
+        parse_job_spec(tiny_lulesh_spec(**mutant))
+
+
 def test_non_object_spec_rejected():
     with pytest.raises(JobSpecError):
         parse_job_spec(["kind", "convolution"])

@@ -236,9 +236,10 @@ def test_p1024_smoke_completes_thread_free():
 
 
 def test_convolution_workload_bit_identical():
-    from repro.workloads.convolution import ConvolutionBenchmark, ConvolutionConfig
+    from repro.workloads.convolution import ConvolutionConfig, ConvolutionWorkload
 
-    bench = ConvolutionBenchmark(ConvolutionConfig(height=64, width=96, steps=5))
+    bench = ConvolutionWorkload.from_config(
+        ConvolutionConfig(height=64, width=96, steps=5))
     kw = dict(machine=nehalem_cluster(nodes=1, jitter=0.1), seed=4,
               compute_jitter=0.02, noise_floor=1e-6)
     tf = bench.run(4, engine="threadfree", **kw)
@@ -247,27 +248,27 @@ def test_convolution_workload_bit_identical():
 
 
 def test_lulesh_workload_bit_identical():
-    from repro.workloads.lulesh import LuleshBenchmark, LuleshConfig
+    from repro.workloads.lulesh import LuleshConfig, LuleshWorkload
 
-    bench = LuleshBenchmark(LuleshConfig(s=6, steps=2))
-    tf, phys_tf = bench.run(8, nthreads=2, seed=9, compute_jitter=0.01,
-                            engine="threadfree")
-    th, phys_th = bench.run(8, nthreads=2, seed=9, compute_jitter=0.01,
-                            engine="threads")
+    bench = LuleshWorkload.from_config(LuleshConfig(s=6, steps=2))
+    tf = bench.run(8, threads=2, seed=9, compute_jitter=0.01,
+                   engine="threadfree")
+    th = bench.run(8, threads=2, seed=9, compute_jitter=0.01,
+                   engine="threads")
     _assert_bit_identical(tf, th)
-    assert phys_tf.energy_drift == phys_th.energy_drift
+    assert bench.collect(tf).energy_drift == bench.collect(th).energy_drift
 
 
 def test_lbm_workload_bit_identical():
-    from repro.workloads.lbm import LBMBenchmark, LBMConfig
+    from repro.workloads.lbm import LBMConfig, LBMWorkload
 
-    bench = LBMBenchmark(LBMConfig(ny=16, nx=20, steps=8))
-    tf, sum_tf = bench.run(4, machine=laptop(cores=4), seed=2,
-                           compute_jitter=0.02, engine="threadfree")
-    th, sum_th = bench.run(4, machine=laptop(cores=4), seed=2,
-                           compute_jitter=0.02, engine="threads")
+    bench = LBMWorkload.from_config(LBMConfig(ny=16, nx=20, steps=8))
+    tf = bench.run(4, machine=laptop(cores=4), seed=2,
+                   compute_jitter=0.02, engine="threadfree")
+    th = bench.run(4, machine=laptop(cores=4), seed=2,
+                   compute_jitter=0.02, engine="threads")
     _assert_bit_identical(tf, th)
-    assert _eq(sum_tf, sum_th)
+    assert _eq(bench.collect(tf), bench.collect(th))
 
 
 # ---------------------------------------------------------------------------

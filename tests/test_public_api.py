@@ -102,6 +102,18 @@ def test_public_methods_documented(obj):
     )
 
 
+def test_paper_workloads_export_their_plugin_classes():
+    """Each paper workload is exported as its one registered class."""
+    import repro.workloads as workloads
+    from repro.workloads import registry
+
+    for name in ("ConvolutionWorkload", "LuleshWorkload", "LBMWorkload"):
+        assert name in workloads.__all__
+        cls = getattr(workloads, name)
+        assert registry.get(cls.NAME) is cls
+    assert not [n for n in workloads.__all__ if n.endswith("Benchmark")]
+
+
 def test_version_matches_pyproject():
     import pathlib
     import re

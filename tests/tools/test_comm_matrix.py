@@ -7,7 +7,7 @@ from repro.errors import AnalysisError
 from repro.machine.catalog import nehalem_cluster
 from repro.simmpi.sections_rt import section
 from repro.tools.comm_matrix import CommMatrixTool, _human
-from repro.workloads.convolution import ConvolutionBenchmark, ConvolutionConfig
+from repro.workloads.convolution import ConvolutionConfig, ConvolutionWorkload
 
 from tests.conftest import mpi
 
@@ -108,8 +108,9 @@ def test_convolution_traffic_attribution():
     """On the real benchmark, HALO traffic is neighbour-to-neighbour and
     SCATTER/GATHER traffic is rooted at rank 0."""
     tool = CommMatrixTool()
-    bench = ConvolutionBenchmark(ConvolutionConfig.tiny(steps=3))
-    bench.run(4, machine=nehalem_cluster(nodes=1, jitter=0.0), tools=[tool])
+    bench = ConvolutionWorkload.from_config(ConvolutionConfig.tiny(steps=3))
+    bench.run(4, machine=nehalem_cluster(nodes=1, jitter=0.0),
+              compute_jitter=0.015, tools=[tool])
 
     halo = tool.matrix("HALO")
     assert halo[1, 2] > 0 and halo[2, 1] > 0

@@ -28,8 +28,8 @@ from repro.simmpi.pmpi import Tool
 from repro.workloads import convolution as conv
 from repro.workloads import registry
 from repro.workloads.convolution import (
-    ConvolutionBenchmark,
     ConvolutionConfig,
+    ConvolutionWorkload,
     sequential_convolution,
 )
 from repro.workloads.images import make_image
@@ -167,14 +167,16 @@ def test_nothing_survives_the_sweep(monkeypatch, filter_calls):
     assert stored[0]() is None
     # Outside the sweep a run finds nothing and computes.
     before = filter_calls[0]
-    ConvolutionBenchmark(_cfg(steps=3)).run(2, machine=nehalem_cluster(nodes=1))
+    ConvolutionWorkload.from_config(_cfg(steps=3)).run(
+        2, machine=nehalem_cluster(nodes=1), compute_jitter=0.015)
     assert filter_calls[0] > before
 
 
 def test_direct_run_computes(filter_calls):
     for p in (1, 2):
         before = filter_calls[0]
-        ConvolutionBenchmark(_cfg()).run(p, machine=nehalem_cluster(nodes=1))
+        ConvolutionWorkload.from_config(_cfg()).run(
+            p, machine=nehalem_cluster(nodes=1), compute_jitter=0.015)
         assert filter_calls[0] > before
 
 

@@ -8,8 +8,8 @@ from repro.simmpi.engine import run_mpi
 from repro.simmpi.mio import ModeledStorage
 from repro.workloads import convolution
 from repro.workloads.convolution import (
-    ConvolutionBenchmark,
     ConvolutionConfig,
+    ConvolutionWorkload,
     input_image,
 )
 from repro.workloads.images import make_image
@@ -42,7 +42,8 @@ def test_sweep_synthesises_its_image_once(make_image_calls):
     cfg = ConvolutionConfig(height=24, width=16, steps=1)
     machine = nehalem_cluster(nodes=2, jitter=0.0)
     for p in range(1, 13):
-        ConvolutionBenchmark(cfg).run(p, machine=machine, seed=p)
+        ConvolutionWorkload.from_config(cfg).run(
+            p, machine=machine, seed=p, compute_jitter=0.015)
     assert len(make_image_calls) == 1
     assert input_image.cache_info().hits == 11
 
@@ -52,7 +53,8 @@ def test_second_config_evicts_the_first(make_image_calls):
     b = ConvolutionConfig(height=24, width=16, steps=1, image_seed=8)
     machine = nehalem_cluster(nodes=1, jitter=0.0)
     for cfg in (a, b, a):
-        ConvolutionBenchmark(cfg).run(2, machine=machine)
+        ConvolutionWorkload.from_config(cfg).run(
+            2, machine=machine, compute_jitter=0.015)
         assert input_image.cache_info().currsize == 1
     assert len(make_image_calls) == 3
 
@@ -61,10 +63,10 @@ def test_rank0_writes_leave_the_shared_image_unchanged(make_image_calls):
     shared = input_image(12, 16, 3, 7)
     before = shared.copy()
     storage = ModeledStorage()
-    storage._data[ConvolutionBenchmark.INPUT_KEY] = shared
+    storage._data[ConvolutionWorkload.INPUT_KEY] = shared
 
     def main(ctx):
-        img = storage.read(ctx, ConvolutionBenchmark.INPUT_KEY)
+        img = storage.read(ctx, ConvolutionWorkload.INPUT_KEY)
         img[...] = -1.0
         return img
 

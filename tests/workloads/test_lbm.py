@@ -11,8 +11,8 @@ from repro.workloads.lbm import (
     EY,
     OPP,
     W,
-    LBMBenchmark,
     LBMConfig,
+    LBMWorkload,
     equilibrium,
     moments,
 )
@@ -51,8 +51,9 @@ def test_config_validation():
 
 @pytest.fixture(scope="module")
 def small_run():
-    bench = LBMBenchmark(LBMConfig(ny=16, nx=20, steps=30))
-    return bench.run(2, machine=nehalem_cluster(nodes=1, jitter=0.0))
+    bench = LBMWorkload.from_config(LBMConfig(ny=16, nx=20, steps=30))
+    res = bench.run(2, machine=nehalem_cluster(nodes=1, jitter=0.0))
+    return res, bench.collect(res)
 
 
 def test_mass_conserved(small_run):
@@ -66,8 +67,9 @@ def test_flow_develops_in_force_direction(small_run):
 
 
 def test_velocity_profile_poiseuille_shape():
-    bench = LBMBenchmark(LBMConfig(ny=16, nx=12, steps=400))
-    _, summary = bench.run(1, machine=nehalem_cluster(nodes=1, jitter=0.0))
+    bench = LBMWorkload.from_config(LBMConfig(ny=16, nx=12, steps=400))
+    summary = bench.collect(
+        bench.run(1, machine=nehalem_cluster(nodes=1, jitter=0.0)))
     prof = summary["ux_profile"]
     # channel flow: maximum near the centre, near-zero at the walls,
     # symmetric about the mid-plane
@@ -82,14 +84,15 @@ def test_velocity_profile_poiseuille_shape():
 def test_decomposition_invariance_bitwise(p):
     cfg = LBMConfig(ny=16, nx=20, steps=12)
     mach = nehalem_cluster(nodes=1, jitter=0.0)
-    _, ref = LBMBenchmark(cfg).run(1, machine=mach)
-    _, par = LBMBenchmark(cfg).run(p, machine=mach)
+    bench = LBMWorkload.from_config(cfg)
+    ref = bench.collect(bench.run(1, machine=mach))
+    par = bench.collect(bench.run(p, machine=mach))
     assert np.array_equal(ref["f"], par["f"])
 
 
 def test_sections_recorded():
-    bench = LBMBenchmark(LBMConfig.tiny(steps=5))
-    res, _ = bench.run(2, machine=nehalem_cluster(nodes=1, jitter=0.0))
+    bench = LBMWorkload.from_config(LBMConfig.tiny(steps=5))
+    res = bench.run(2, machine=nehalem_cluster(nodes=1, jitter=0.0))
     prof = SectionProfile.from_run(res)
     assert {"INIT", "COLLIDE", "HALO", "STREAM", "MACRO"} <= set(prof.labels())
     assert prof.count("COLLIDE") == 2 * 5
@@ -99,8 +102,8 @@ def test_sections_recorded():
 def test_collide_and_stream_dominate_execution():
     """Collision and streaming are the two heavy phases (as in real LBM
     codes); moment computation stays secondary."""
-    bench = LBMBenchmark(LBMConfig(ny=32, nx=32, steps=10))
-    res, _ = bench.run(1, machine=nehalem_cluster(nodes=1, jitter=0.0))
+    bench = LBMWorkload.from_config(LBMConfig(ny=32, nx=32, steps=10))
+    res = bench.run(1, machine=nehalem_cluster(nodes=1, jitter=0.0))
     prof = SectionProfile.from_run(res)
     heavy = prof.percent_of_execution("COLLIDE") + prof.percent_of_execution("STREAM")
     assert heavy > 55.0
@@ -111,15 +114,16 @@ def test_collide_and_stream_dominate_execution():
 def test_strong_scaling_speedup():
     cfg = LBMConfig(ny=64, nx=64, steps=15)
     mach = nehalem_cluster(nodes=1, jitter=0.0)
-    t1 = LBMBenchmark(cfg).run(1, machine=mach)[0].walltime
-    t8 = LBMBenchmark(cfg).run(8, machine=mach)[0].walltime
+    t1 = LBMWorkload.from_config(cfg).run(1, machine=mach).walltime
+    t8 = LBMWorkload.from_config(cfg).run(8, machine=mach).walltime
     assert t8 < t1 / 3
 
 
 def test_run_deterministic():
     cfg = LBMConfig.tiny()
     mach = nehalem_cluster(nodes=1)
-    r1, s1 = LBMBenchmark(cfg).run(3, machine=mach, seed=4, compute_jitter=0.05)
-    r2, s2 = LBMBenchmark(cfg).run(3, machine=mach, seed=4, compute_jitter=0.05)
+    bench = LBMWorkload.from_config(cfg)
+    r1 = bench.run(3, machine=mach, seed=4, compute_jitter=0.05)
+    r2 = bench.run(3, machine=mach, seed=4, compute_jitter=0.05)
     assert r1.clocks == r2.clocks
-    assert s1["mass"] == s2["mass"]
+    assert bench.collect(r1)["mass"] == bench.collect(r2)["mass"]

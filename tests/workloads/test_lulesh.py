@@ -9,8 +9,8 @@ from repro.machine.catalog import knl_node
 from repro.workloads import lulesh_phases as ph
 from repro.workloads.lulesh import (
     PAPER_TOTAL_ELEMENTS,
-    LuleshBenchmark,
     LuleshConfig,
+    LuleshWorkload,
     lulesh_strong_scaling_configs,
 )
 
@@ -68,9 +68,10 @@ def test_config_validation():
 
 @pytest.fixture(scope="module")
 def small_run():
-    bench = LuleshBenchmark(LuleshConfig(s=6, steps=4, return_fields=True))
-    run, phys = bench.run(8, nthreads=2, machine=knl_node(jitter=0.0))
-    return bench, run, phys
+    bench = LuleshWorkload.from_config(
+        LuleshConfig(s=6, steps=4, return_fields=True))
+    run = bench.run(8, threads=2, machine=knl_node(jitter=0.0))
+    return bench, run, bench.collect(run)
 
 
 def test_all_sections_recorded(small_run):
@@ -106,25 +107,24 @@ def test_energy_field_assembled(small_run):
     assert phys.energy_field[0, 0, 0] > phys.energy_field[-1, -1, -1]
 
 
+def _physics(cfg, p, **kw):
+    """Run ``cfg`` at ``p`` and assemble its physics result."""
+    bench = LuleshWorkload.from_config(cfg)
+    return bench.collect(bench.run(p, **kw))
+
+
 def test_decomposition_invariance_p1_vs_p8():
     common = dict(steps=4, return_fields=True)
-    r1 = LuleshBenchmark(LuleshConfig(s=8, **common)).run(
-        1, machine=knl_node(jitter=0.0)
-    )[1]
-    r8 = LuleshBenchmark(LuleshConfig(s=4, **common)).run(
-        8, machine=knl_node(jitter=0.0)
-    )[1]
+    r1 = _physics(LuleshConfig(s=8, **common), 1, machine=knl_node(jitter=0.0))
+    r8 = _physics(LuleshConfig(s=4, **common), 8, machine=knl_node(jitter=0.0))
     assert np.array_equal(r1.energy_field, r8.energy_field)
 
 
 def test_decomposition_invariance_p8_vs_p27():
     common = dict(steps=3, return_fields=True)
-    r8 = LuleshBenchmark(LuleshConfig(s=6, **common)).run(
-        8, machine=knl_node(jitter=0.0)
-    )[1]
-    r27 = LuleshBenchmark(LuleshConfig(s=4, **common)).run(
-        27, machine=knl_node(jitter=0.0)
-    )[1]
+    r8 = _physics(LuleshConfig(s=6, **common), 8, machine=knl_node(jitter=0.0))
+    r27 = _physics(LuleshConfig(s=4, **common), 27,
+                   machine=knl_node(jitter=0.0))
     assert np.array_equal(r8.energy_field, r27.energy_field)
 
 
@@ -139,8 +139,8 @@ def test_thread_count_does_not_change_physics(monkeypatch):
     fields = []
     for t in (1, 16):
         before = len(calls)
-        fields.append(LuleshBenchmark(cfg).run(
-            1, nthreads=t, machine=knl_node(jitter=0.0))[1].energy_field)
+        fields.append(_physics(cfg, 1, threads=t,
+                               machine=knl_node(jitter=0.0)).energy_field)
         assert len(calls) > before
     assert np.array_equal(fields[0], fields[1])
 
@@ -155,7 +155,7 @@ def test_dt_adapts_globally(small_run):
 def test_non_cube_process_count_fails():
     from repro.errors import RankFailedError, MPIError
 
-    bench = LuleshBenchmark(LuleshConfig(s=4, steps=1))
+    bench = LuleshWorkload.from_config(LuleshConfig(s=4, steps=1))
     with pytest.raises(RankFailedError) as ei:
         bench.run(6, machine=knl_node())
     assert isinstance(ei.value.original, MPIError)

@@ -1,8 +1,9 @@
 """LULESH's physics once per (config, p) per sweep: skeletons are exact.
 
 Inside a sweep's physics scope, after the first run of a
-``(LuleshConfig, p)`` key, :func:`run_lulesh` runs every later point of
-that key as a timing skeleton that takes its physics from the scope.
+``(LuleshConfig, p)`` key, :meth:`LuleshWorkload.run` runs every later
+point of that key as a timing skeleton that takes its physics from the
+scope.
 These tests pin that a skeleton is indistinguishable from a run that
 computed (profiles, drifts, results, clocks, section events, network and
 macro-step counters), that it only engages where the engine's fast-path
@@ -27,7 +28,7 @@ from repro.machine.catalog import knl_node
 from repro.simmpi.pmpi import Tool
 from repro.workloads import lulesh_phases as ph
 from repro.workloads import registry
-from repro.workloads.lulesh import LuleshBenchmark, LuleshConfig, run_lulesh
+from repro.workloads.lulesh import LuleshConfig, LuleshWorkload
 from repro.workloads.physics_scope import physics_scope
 
 from tests.simmpi.test_threadfree import _eq
@@ -134,11 +135,12 @@ _LATE = 1e6  # virtual seconds: a fault planned after the run has ended
 ], ids=["crash", "hang", "on_send-tool", "straggler", "rank-end-tool"])
 def test_skeleton_admission(kw, computes, kernel_calls):
     cfg = LuleshConfig(s=4, steps=2)
+    bench = LuleshWorkload.from_config(cfg)
     with physics_scope():
-        first = run_lulesh(cfg, 8, threads=1, machine=knl_node(), **kw)
+        first = bench.run(8, threads=1, machine=knl_node(), **kw)
         assert kernel_calls[0] > 0
         before = kernel_calls[0]
-        again = run_lulesh(cfg, 8, threads=2, machine=knl_node(), **kw)
+        again = bench.run(8, threads=2, machine=knl_node(), **kw)
         assert (kernel_calls[0] > before) is computes
     assert _eq([{k: v for k, v in r.items() if k != "omp_regions"}
                 for r in again.results],
@@ -167,28 +169,30 @@ class _FailAtEnd(Tool):
 
 def test_failed_run_leaves_no_memo_entry(kernel_calls):
     cfg = LuleshConfig(s=4, steps=1)
+    bench = LuleshWorkload.from_config(cfg)
     with physics_scope():
         with pytest.raises(RankFailedError):
-            run_lulesh(cfg, 8, machine=knl_node(), tools=(_FailAtEnd(),))
+            bench.run(8, machine=knl_node(), tools=(_FailAtEnd(),))
         assert kernel_calls[0] > 0
         before = kernel_calls[0]
-        run_lulesh(cfg, 8, machine=knl_node())
+        bench.run(8, machine=knl_node())
         assert kernel_calls[0] > before  # nothing stored: this run computes
         before = kernel_calls[0]
-        run_lulesh(cfg, 8, threads=2, machine=knl_node())
+        bench.run(8, threads=2, machine=knl_node())
         assert kernel_calls[0] == before
 
 
 def test_memo_hands_out_copies(kernel_calls):
     cfg = LuleshConfig(s=4, steps=2, return_fields=True)
+    bench = LuleshWorkload.from_config(cfg)
     with physics_scope():
-        first = run_lulesh(cfg, 8, machine=knl_node())
+        first = bench.run(8, machine=knl_node())
         want = [r["e_field"].copy() for r in first.results]
         first.results[0]["e_field"][...] = -1.0
         first.results[1]["energy"] = -1.0
-        second = run_lulesh(cfg, 8, threads=2, machine=knl_node())
+        second = bench.run(8, threads=2, machine=knl_node())
         second.results[0]["e_field"][...] = -2.0
-        third = run_lulesh(cfg, 8, threads=4, machine=knl_node())
+        third = bench.run(8, threads=4, machine=knl_node())
     for r, field in zip(third.results, want):
         assert np.array_equal(r["e_field"], field)
         assert r["e_field"].flags.writeable
@@ -223,10 +227,11 @@ def test_second_grid_computes_again_once_per_p(kernel_calls):
 
 def test_scope_holds_only_the_latest_key(kernel_calls):
     cfg = LuleshConfig(s=2, steps=1)
+    bench = LuleshWorkload.from_config(cfg)
 
     def computes(p, t):
         before = kernel_calls[0]
-        run_lulesh(cfg, p, threads=t, machine=knl_node())
+        bench.run(p, threads=t, machine=knl_node())
         return kernel_calls[0] > before
 
     with physics_scope():
@@ -238,9 +243,10 @@ def test_scope_holds_only_the_latest_key(kernel_calls):
 
 def test_direct_run_computes(kernel_calls):
     cfg = LuleshConfig(s=4, steps=1)
+    bench = LuleshWorkload.from_config(cfg)
     for t in (1, 2):
         before = kernel_calls[0]
-        run_lulesh(cfg, 8, threads=t, machine=knl_node())
+        bench.run(8, threads=t, machine=knl_node())
         assert kernel_calls[0] > before
 
 
@@ -248,12 +254,13 @@ def test_two_sweeps_on_two_threads_share_no_entry(kernel_calls):
     """Thread A stores p=8, thread B then runs p=8 and p=1 in its own
     scope; B computes both, and A's entry is still p=8."""
     cfg = LuleshConfig(s=2, steps=1)
+    bench = LuleshWorkload.from_config(cfg)
     a_stored, b_done = threading.Event(), threading.Event()
     got = {}
 
     def computes(p, t):
         before = kernel_calls[0]
-        run_lulesh(cfg, p, threads=t, machine=knl_node())
+        bench.run(p, threads=t, machine=knl_node())
         return kernel_calls[0] > before
 
     def sweep_a():
@@ -282,13 +289,15 @@ def test_two_sweeps_on_two_threads_share_no_entry(kernel_calls):
 
 
 def test_benchmark_run_goes_through_the_driver(kernel_calls):
+    """Two instances of one config share the sweep's physics: the
+    registry's class is the one the module defines."""
     cfg = LuleshConfig(s=4, steps=2)
+    bench = LuleshWorkload.from_config(cfg)
     with physics_scope():
-        run, phys = LuleshBenchmark(cfg).run(8, nthreads=2,
-                                             machine=knl_node())
+        run = bench.run(8, threads=2, machine=knl_node())
         assert kernel_calls[0] > 0
         before = kernel_calls[0]
         plugin_run = registry.get("lulesh").from_config(cfg).run(
             8, threads=4, machine=knl_node())
         assert kernel_calls[0] == before
-    assert LuleshBenchmark(cfg).collect(plugin_run) == phys
+    assert bench.collect(plugin_run) == bench.collect(run)
