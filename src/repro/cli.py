@@ -60,7 +60,8 @@ written with spans from every layer under one trace ID.  See
 :mod:`repro.obs` and ``docs/observability.md``.
 
 Exit codes: ``0`` success, ``1`` usage errors (unknown experiment, bad
-``--jobs``, unreadable fault plan or job spec, missing baseline file),
+``--jobs``, ``--reps`` or ``--steps`` below 1, unreadable fault plan or
+job spec, missing baseline file),
 ``2`` run failures (an experiment check failed, a baseline regressed,
 sweep points failed under ``--on-error skip``, or a submitted job
 failed).
@@ -73,6 +74,7 @@ import os
 import pathlib
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import List
 
 from repro import obs
@@ -357,7 +359,7 @@ def _execute_scenario(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE, None
     if args.macrostep is not None:
-        object.__setattr__(spec, "macrostep", args.macrostep == "on")
+        spec = replace(spec, macrostep=args.macrostep == "on")
     run_cache = None
     if args.cache:
         from repro.harness.cache import RunCache
@@ -905,6 +907,10 @@ def main(argv: List[str] | None = None) -> int:
         print(f"error: --timeout must be positive, got {args.timeout}",
               file=sys.stderr)
         return EXIT_USAGE
+    for flag, value in (("--reps", args.reps), ("--steps", args.steps)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return EXIT_USAGE
     fault_plan = None
     if args.faults is not None:
         try:
@@ -918,33 +924,27 @@ def main(argv: List[str] | None = None) -> int:
 
         run_cache = RunCache()
 
-    def _configure(sweep):
-        """Apply the robustness flags to one frozen sweep definition."""
-        if fault_plan is not None:
-            object.__setattr__(sweep, "faults", fault_plan)
-        if args.timeout is not None:
-            object.__setattr__(sweep, "wall_timeout", args.timeout)
-        if args.engine is not None:
-            object.__setattr__(sweep, "engine", args.engine)
-        if args.macrostep is not None:
-            object.__setattr__(sweep, "macrostep", args.macrostep == "on")
-        return sweep
+    # Flags shared by every sweep; replace() re-runs each sweep's checks.
+    overrides = {}
+    if fault_plan is not None:
+        overrides["faults"] = fault_plan
+    if args.timeout is not None:
+        overrides["wall_timeout"] = args.timeout
+    if args.engine is not None:
+        overrides["engine"] = args.engine
+    if args.macrostep is not None:
+        overrides["macrostep"] = args.macrostep == "on"
+    if args.seed is not None:
+        overrides["base_seed"] = args.seed
 
     with _trace_scope(args, wanted):
         conv_wanted = [w for w in wanted if w in _CONV_EXPERIMENTS]
         if conv_wanted:
             sweep = default_convolution_sweep()
-            object.__setattr__(sweep, "reps", args.reps)
+            config = sweep.config
             if args.steps is not None:
-                object.__setattr__(
-                    sweep, "config", sweep.config.__class__(
-                        height=sweep.config.height, width=sweep.config.width,
-                        steps=args.steps,
-                    )
-                )
-            if args.seed is not None:
-                object.__setattr__(sweep, "base_seed", args.seed)
-            _configure(sweep)
+                config = replace(config, steps=args.steps)
+            sweep = replace(sweep, config=config, reps=args.reps, **overrides)
             profile = run_convolution_sweep(sweep, progress=progress,
                                             jobs=jobs, cache=run_cache,
                                             on_error=args.on_error,
@@ -963,11 +963,9 @@ def main(argv: List[str] | None = None) -> int:
             hits = [w for w in wanted if w in exp_ids]
             if not hits:
                 continue
-            sweep = paper_lulesh_sweep(machine, steps=args.steps or 10)
-            object.__setattr__(sweep, "reps", max(1, args.reps // 2))
-            if args.seed is not None:
-                object.__setattr__(sweep, "base_seed", args.seed)
-            _configure(sweep)
+            steps = 10 if args.steps is None else args.steps
+            sweep = replace(paper_lulesh_sweep(machine, steps=steps),
+                            reps=max(1, args.reps // 2), **overrides)
             analysis, drifts = run_lulesh_grid(sweep, progress=progress,
                                                sides=PAPER_LULESH_SIDES,
                                                jobs=jobs, cache=run_cache,

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_USAGE, build_parser, main
 
 
 def test_list_prints_registry(capsys):
@@ -122,6 +122,24 @@ def test_invalid_retries_and_timeout_are_usage_errors(capsys):
     assert "--retries" in capsys.readouterr().err
     assert main(["table7", "--timeout", "0"]) == 1
     assert "--timeout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fig5a", "--reps", "0", "--steps", "2"], "--reps"),
+    (["fig5a", "--steps", "0"], "--steps"),
+    (["fig9", "--steps", "0"], "--steps"),
+], ids=["fig5a-reps-0", "fig5a-steps-0", "fig9-steps-0"])
+def test_counts_below_one_are_usage_errors(argv, flag, monkeypatch, capsys):
+    """Rejected before any sweep point runs, not by a traceback (or, for
+    the LULESH grid, a silent run of the default step count)."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr("repro.cli.run_convolution_sweep", no_sweep)
+    monkeypatch.setattr("repro.cli.run_lulesh_grid", no_sweep)
+    assert main(argv + ["--quiet"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {flag} must be >= 1" in err
 
 
 def test_skipped_sweep_points_exit_nonzero(monkeypatch, tmp_path, capsys):
